@@ -2,8 +2,7 @@
 
 Every evaluation returns an EvalResult(value, err, effort).  err is an
 absolute bound the library stands behind; effort counts elementary
-operations (series terms or quadrature nodes), useful for comparing
-strategies.
+operations (series terms summed), a machine-independent measure of work.
 """
 
 import math
@@ -14,8 +13,6 @@ from fermatreg import (
     DivergentParametersError,
     EvalConfig,
     Hyp3F2Params,
-    enable_eval_cache,
-    disable_eval_cache,
     hyp3f2_unit,
 )
 
@@ -31,16 +28,15 @@ print()
 # parameters are exact rationals; strings and Fractions both work
 p = Hyp3F2Params("3/13", "1/13", 1, "4/13", "14/13")
 print(f"slowly convergent case, excess = {p.excess} (sum of lowers minus uppers)")
-for strategy in ("accelerated-series", "kernel-quadrature", "both-cross-check"):
-    r = hyp3f2_unit(p, EvalConfig(strategy=strategy))
-    print(f"  {strategy:20s} {r.value:.15f}  err {r.err:.1e}  effort {r.effort:6d}")
+r = hyp3f2_unit(p, EvalConfig())
+print(f"  value  {r.value:.15f}  err {r.err:.1e}  effort {r.effort}")
 print()
 
-# the kernel route rewrites the sum as a weighted integral of an
-# elementary kernel; it exists whenever an upper parameter is 1 and some
-# lower parameter exceeds an upper one by exactly 1, which holds for all
-# the regulator series in this package.  both-cross-check runs the two
-# routes independently and widens err if they disagree.
+# the terms decay like k^(-1-excess), far too slowly to sum to the end;
+# the series is summed to a checkpoint and the remaining tail is closed
+# with a fitted algebraic model summed exactly by Hurwitz zetas.  err
+# covers the model's defect and the rounding of every term; the tests hold
+# it against 30-digit references down to excess 1/97.
 
 # divergent parameter sets are rejected up front
 try:
@@ -55,13 +51,3 @@ try:
 except BudgetExceededError as exc:
     best = exc.result
     print(f"budget exhausted; best value {best.value:.15f} with err {best.err:.1e}")
-print()
-
-# repeated evaluations can share a memoization store; keys include the
-# exact parameters and the full configuration, so hits are bit-identical
-store = {}
-enable_eval_cache(store)
-hyp3f2_unit(p, EvalConfig())
-r1 = hyp3f2_unit(p, EvalConfig())
-disable_eval_cache()
-print(f"cache holds {len(store)} entry; cached value {r1.value:.15f}")

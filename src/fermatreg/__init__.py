@@ -3,8 +3,8 @@
 The package has three layers:
 
 * :mod:`fermatreg.specialfn` -- log-gamma, beta, Pochhammer, tanh-sinh
-  quadrature and a certified 3F2-at-unit-argument evaluator with two
-  independent strategies;
+  quadrature and a certified 3F2-at-unit-argument evaluator (an accelerated
+  series with a fitted algebraic tail);
 * :mod:`fermatreg.fermat` -- eigenform indexing on the curve x^N + y^N = 1,
   period constants, the root-of-unity coefficients mu and mu_half, and the
   Hodge-class predicate for prime N;
@@ -13,7 +13,7 @@ The package has three layers:
   brute-force oracles (quadrature and series) that check the closed forms.
 
 Everything is deterministic: fixed summation orders, seeded self-checks, no
-global mutable state beyond an optional opt-in evaluation cache.
+global mutable state.
 """
 
 __version__ = "0.1.0"
@@ -26,11 +26,8 @@ from .specialfn import (
     EvalResult,
     Hyp3F2Params,
     NonFiniteSampleError,
-    STRATEGIES,
     beta,
     de_quadrature,
-    disable_eval_cache,
-    enable_eval_cache,
     gauss_2f1_unit,
     hyp3f2_unit,
     log_gamma,
@@ -68,8 +65,7 @@ __all__ = [
     # specialfn
     "BudgetExceededError", "DivergentParametersError", "DomainError",
     "EvalConfig", "EvalResult", "Hyp3F2Params", "NonFiniteSampleError",
-    "STRATEGIES", "beta", "de_quadrature", "disable_eval_cache",
-    "enable_eval_cache", "gauss_2f1_unit", "hyp3f2_unit",
+    "beta", "de_quadrature", "gauss_2f1_unit", "hyp3f2_unit",
     "log_gamma", "one_minus_root", "pochhammer",
     # fermat
     "FormIndex", "UnsupportedModulusError", "WedgeIndex", "bracket", "genus",

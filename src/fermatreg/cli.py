@@ -28,14 +28,11 @@ from .specialfn import (
     DomainError,
     EvalConfig,
     Hyp3F2Params,
-    STRATEGIES,
-    disable_eval_cache,
-    enable_eval_cache,
     hyp3f2_unit,
 )
 
-_CACHE_FORMAT = "fermatreg-cache-v1"
 _ENV_PREFIX = "FERMATREG_"
+_HYP3F2_PROVENANCE = "accelerated-series"
 
 
 def _cfg_from_args(args) -> EvalConfig:
@@ -51,7 +48,6 @@ def _cfg_from_args(args) -> EvalConfig:
         tol=pick(args.tol, "TOL", float, 1e-8),
         max_terms=pick(args.max_terms, "MAX_TERMS", int, 500_000),
         quad_depth=pick(args.quad_depth, "QUAD_DEPTH", int, 10),
-        strategy=pick(args.strategy, "STRATEGY", str, "both-cross-check"),
     )
 
 
@@ -62,29 +58,6 @@ def _add_cfg_flags(p: argparse.ArgumentParser) -> None:
                    help="series term budget (default 500000)")
     p.add_argument("--quad-depth", type=int, default=None,
                    help="quadrature halving levels (default 10)")
-    p.add_argument("--strategy", choices=STRATEGIES, default=None,
-                   help="3F2 evaluation route (default both-cross-check)")
-    p.add_argument("--cache", default=None, metavar="PATH",
-                   help="JSON memoization file for 3F2 values (safe to delete)")
-
-
-def _load_cache(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if data.get("format") == _CACHE_FORMAT and isinstance(data.get("entries"), dict):
-            return data["entries"]
-    except (OSError, ValueError):
-        pass
-    return {}
-
-
-def _save_cache(path: str, entries: dict) -> None:
-    payload = {"format": _CACHE_FORMAT, "entries": entries}
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    os.replace(tmp, path)
 
 
 def _record(inputs: dict, value: float, err: float, provenance: str,
@@ -111,10 +84,10 @@ def _cmd_hyp3f2(args) -> int:
         res = hyp3f2_unit(params, cfg)
     except BudgetExceededError as exc:
         best = exc.result
-        print(_record(raw, best.value, best.err, cfg.strategy, best.effort))
+        print(_record(raw, best.value, best.err, _HYP3F2_PROVENANCE, best.effort))
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 1
-    print(_record(raw, res.value, res.err, cfg.strategy, res.effort))
+    print(_record(raw, res.value, res.err, _HYP3F2_PROVENANCE, res.effort))
     return 0
 
 
@@ -293,11 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cache_path = getattr(args, "cache", None)
-    entries = None
-    if cache_path:
-        entries = _load_cache(cache_path)
-        enable_eval_cache(entries)
     try:
         return args.func(args)
     except BudgetExceededError as exc:
@@ -306,13 +274,6 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if cache_path and entries is not None:
-            disable_eval_cache()
-            try:
-                _save_cache(cache_path, entries)
-            except OSError as exc:
-                print(f"warning: could not write cache: {exc}", file=sys.stderr)
 
 
 if __name__ == "__main__":

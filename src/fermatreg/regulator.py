@@ -223,11 +223,16 @@ def f_indec(i: int, N: int, cfg: EvalConfig = EvalConfig()) -> FIndecResult:
 
     f(i, N) = im_reg_mixed(1, i, 1, 2i, N) / (2 N^2), reported together with
     whether the wedge ((1, i), (1, 2i)) spans a Hodge class.  A nonzero value
-    for a non-Hodge wedge certifies an indecomposable cycle.
+    for a non-Hodge wedge certifies an indecomposable cycle.  The certified
+    err stays below cfg.tol.
     """
     if not is_prime(N):
         raise UnsupportedModulusError(f"f(i, N) is defined for prime N, got {N}")
-    rv = im_reg_mixed(1, i, 1, 2 * i, N, cfg)
+    # the pairing's err is at most (|mu_half(1,i)| + |mu_half(1,2i)|) * tol / 2
+    # (two script-F terms at tol/4, each prefactor below 1), and
+    # |mu_half(1, b, N)| < pi N, so after dividing by 2 N^2 the err stays
+    # below (pi/4) cfg.tol when the pairing is asked for N * cfg.tol / 2
+    rv = im_reg_mixed(1, i, 1, 2 * i, N, replace(cfg, tol=N * cfg.tol / 2.0))
     scale = 2.0 * N * N
     w = WedgeIndex(FormIndex(N, 1, i), FormIndex(N, 1, 2 * i))
     return FIndecResult(rv.value / scale, rv.err / scale + _EPS, rv.effort,

@@ -196,6 +196,12 @@ class TestFIndec:
         m = im_reg_mixed(1, i, 1, 2 * i, N, CFG)
         assert abs(r.value - m.value / (2.0 * N * N)) <= 1e-15
 
+    def test_err_stays_below_tol(self):
+        cfg = EvalConfig(tol=1e-10)
+        for N in (13, 29, 97):
+            for i in range(2, N // 4 + 1):
+                assert f_indec(i, N, cfg).err <= cfg.tol, (i, N)
+
     def test_hodge_flag_positive_case(self):
         # at i = 4, N = 13 the wedge (1,4)^(1,8) satisfies 3i + 1 = N
         r = f_indec(4, 13, CFG)

@@ -9,7 +9,6 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
-from scipy.special import zeta as hurwitz_zeta
 
 from fermatreg.specialfn import (
     BudgetExceededError,
@@ -19,11 +18,10 @@ from fermatreg.specialfn import (
     EvalResult,
     Hyp3F2Params,
     NonFiniteSampleError,
+    _hurwitz_zeta,
     algebraic_tail_sum,
     beta,
     de_quadrature,
-    disable_eval_cache,
-    enable_eval_cache,
     gauss_2f1_unit,
     hyp3f2_unit,
     log_gamma,
@@ -32,6 +30,29 @@ from fermatreg.specialfn import (
 )
 
 CFG = EvalConfig()
+
+# 3F2((a+j)/N, j/N, 1; (a+b+j)/N, j/N + 1; 1) of script-F terms (a, j, b; N),
+# computed with mpmath 1.3.0 at 40 and 60 digits and rounded to 30
+SCRIPT_F_3F2_REFS = {
+    (1, 1, 2, 5): "1.29521520694121400612061529881",
+    (3, 2, 4, 13): "1.31678783230207646662837988403",
+    (1, 23, 21, 23): "1.73842836504399633062384869995",
+    (5, 7, 11, 23): "1.40235353667079277379952956569",
+    (4, 14, 2, 23): "7.40325865026575940046941996784",
+}
+
+
+def script_f_params(a, j, b, N):
+    return Hyp3F2Params(Fr(a + j, N), Fr(j, N), 1, Fr(a + b + j, N), Fr(j, N) + 1)
+
+
+def eval_or_best(p, cfg):
+    """The certified result, or the best one a budget failure carries."""
+    try:
+        return hyp3f2_unit(p, cfg), True
+    except BudgetExceededError as exc:
+        return exc.result, False
+
 
 # (x, ln Gamma(x)) on a grid spanning nine orders of magnitude
 LOG_GAMMA_GRID = [
@@ -138,10 +159,8 @@ class TestParams:
 
 class TestHyp3F2:
     def test_basel(self):
-        for strategy in ("kernel-quadrature", "accelerated-series", "both-cross-check"):
-            r = hyp3f2_unit(Hyp3F2Params(1, 1, 1, 2, 2),
-                            EvalConfig(tol=1e-12, strategy=strategy))
-            assert abs(r.value - math.pi ** 2 / 6.0) <= 1e-10
+        r = hyp3f2_unit(Hyp3F2Params(1, 1, 1, 2, 2), EvalConfig(tol=1e-12))
+        assert abs(r.value - math.pi ** 2 / 6.0) <= 1e-10
 
     def test_zero_upper_parameter(self):
         r = hyp3f2_unit(Hyp3F2Params(Fr(1, 2), 0, 5, Fr(1, 7), 3), CFG)
@@ -158,10 +177,9 @@ class TestHyp3F2:
         # 3F2(3/13, 1/13, 1; 4/13, 14/13; 1), excess 1/13
         want = 1.766233869657059933008
         p = Hyp3F2Params(Fr(3, 13), Fr(1, 13), 1, Fr(4, 13), Fr(14, 13))
-        for strategy in ("kernel-quadrature", "accelerated-series", "both-cross-check"):
-            r = hyp3f2_unit(p, EvalConfig(strategy=strategy))
-            assert abs(r.value - want) <= 1e-9, strategy
-            assert abs(r.value - want) <= r.err + 1e-15, strategy
+        r = hyp3f2_unit(p, CFG)
+        assert abs(r.value - want) <= 1e-9
+        assert abs(r.value - want) <= r.err + 1e-15
 
     def test_terminating_series_is_exact(self):
         # a1 = -3 truncates the sum at k = 3; compare with the exact
@@ -172,7 +190,7 @@ class TestHyp3F2:
             / (pochhammer(Fr(2), k) * pochhammer(Fr(3, 2), k) * math.factorial(k))
             for k in range(4)
         )
-        r = hyp3f2_unit(p, EvalConfig(strategy="accelerated-series"))
+        r = hyp3f2_unit(p, CFG)
         assert abs(r.value - float(want)) <= 1e-14
 
     def test_degenerate_gauss_draws(self):
@@ -186,18 +204,34 @@ class TestHyp3F2:
             want = gauss_2f1_unit(float(a), float(b), float(c))
             assert abs(r.value - want) <= 1e-10
 
-    def test_strategies_agree_within_errs(self):
-        rng = random.Random(7)
-        for _ in range(8):
-            N = rng.choice((5, 13, 23))
-            a = rng.randrange(1, N - 1)
-            b = rng.randrange(1, N - a)
-            j = rng.randrange(1, N + 1)
-            p = Hyp3F2Params(Fr(a + j, N), Fr(j, N), 1,
-                             Fr(a + b + j, N), Fr(j, N) + 1)
-            k = hyp3f2_unit(p, EvalConfig(strategy="kernel-quadrature"))
-            s = hyp3f2_unit(p, EvalConfig(strategy="accelerated-series"))
-            assert abs(k.value - s.value) <= k.err + s.err
+    def test_err_honored_against_references(self):
+        # (4, 14, 2; 23) once came back with err 2.2e-14 at 2.3e-14 from
+        # the reference; the comparison is exact, in rationals
+        for tol in (1e-8, 1e-10, 1e-12):
+            for key, ref in SCRIPT_F_3F2_REFS.items():
+                r, _ = eval_or_best(script_f_params(*key), EvalConfig(tol=tol))
+                assert abs(Fr(r.value) - Fr(ref)) <= Fr(r.err), (key, tol)
+
+    def test_err_honored_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(20261018)
+        cases = [(1, 1, 1, 97), (95, 97, 1, 97)]  # the smallest excess, 1/97
+        for _ in range(28):
+            N = rng.randrange(5, 98)
+            a = rng.randrange(1, N)
+            b = rng.choice([v for v in range(1, N) if (a + v) % N])
+            cases.append((a, rng.randrange(1, N + 1), b, N))
+        for (a, j, b, N) in cases:
+            p = script_f_params(a, j, b, N)
+            with mpmath.workdps(30):
+                want = mpmath.hyp3f2(*(mpmath.mpf(q.numerator) / q.denominator
+                                       for q in (p.a1, p.a2, p.a3, p.b1, p.b2)), 1)
+                want = Fr(mpmath.nstr(want, 30))
+            for tol in (1e-8, 1e-10):
+                r, certified = eval_or_best(p, EvalConfig(tol=tol))
+                assert abs(Fr(r.value) - want) <= Fr(r.err), (a, j, b, N, tol)
+                if certified:
+                    assert r.err <= tol
 
     def test_err_honored_against_tighter_run(self):
         rng = random.Random(99)
@@ -215,19 +249,10 @@ class TestHyp3F2:
     def test_budget_exceeded_carries_best(self):
         p = Hyp3F2Params(Fr(3, 13), Fr(1, 13), 1, Fr(4, 13), Fr(14, 13))
         with pytest.raises(BudgetExceededError) as ei:
-            hyp3f2_unit(p, EvalConfig(tol=1e-30, strategy="accelerated-series",
-                                      max_terms=10000))
+            hyp3f2_unit(p, EvalConfig(tol=1e-30, max_terms=10000))
         best = ei.value.result
         assert isinstance(best, EvalResult)
         assert abs(best.value - 1.766233869657059933008) <= best.err
-
-    def test_kernel_pattern_unavailable_falls_back(self):
-        # no unit upper parameter: the integral route cannot apply, but the
-        # strategy must still produce the right number via the series
-        p = Hyp3F2Params(Fr(1, 2), Fr(1, 3), Fr(1, 5), 3, 4)
-        k = hyp3f2_unit(p, EvalConfig(strategy="kernel-quadrature"))
-        s = hyp3f2_unit(p, EvalConfig(strategy="accelerated-series"))
-        assert k.value == s.value
 
     def test_bitwise_deterministic(self):
         p = Hyp3F2Params(Fr(7, 13), Fr(4, 13), 1, Fr(12, 13), Fr(17, 13))
@@ -235,20 +260,6 @@ class TestHyp3F2:
         r2 = hyp3f2_unit(p, CFG)
         assert repr(r1.value) == repr(r2.value)
         assert r1.err == r2.err and r1.effort == r2.effort
-
-    def test_eval_cache_roundtrip(self):
-        store = {}
-        p = Hyp3F2Params(Fr(5, 7), Fr(2, 7), 1, Fr(9, 7), Fr(9, 7))
-        try:
-            enable_eval_cache(store)
-            r1 = hyp3f2_unit(p, CFG)
-            assert len(store) == 1
-            r2 = hyp3f2_unit(p, CFG)
-        finally:
-            disable_eval_cache()
-        assert r1 == r2
-        r3 = hyp3f2_unit(p, CFG)
-        assert r3.value == r1.value
 
 
 class TestQuadrature:
@@ -321,14 +332,27 @@ class TestOneMinusRoot:
 class TestTailModel:
     def test_recovers_hurwitz_zeta(self):
         # exact power-law terms: the fitted tail must equal the Hurwitz zeta
+        mpmath = pytest.importorskip("mpmath")
         s = 0.25
         K = 4096
         ks = [K, K - K // 8, K - 2 * (K // 8), K - 3 * (K // 8)]
         ts = [k ** (-1.0 - s) for k in ks]
         tail, model_err = algebraic_tail_sum(ks, ts, s, K + 1)
-        want = float(hurwitz_zeta(1.0 + s, K + 1))
+        want = float(mpmath.zeta(1.0 + s, K + 1))
         assert abs(tail - want) <= 1e-12 * want
         assert model_err <= 1e-10
+
+    def test_hurwitz_zeta_against_mpmath(self):
+        # the zeta orders 1 + excess + p (p = 0..3) and the starts the
+        # series and oracle tails use; 80 digits keep mpmath's own error
+        # below the tested 1e-15 at the largest orders and starts
+        mpmath = pytest.importorskip("mpmath")
+        for s in (1 + 1 / 97, 1 + 1 / 13, 1.5, 2.0, 3 + 1 / 7, 4 + 96 / 97, 8.0, 12.0):
+            for a in (1, 7, 33, 2049, 16385, 524289):
+                with mpmath.workdps(80):
+                    want = mpmath.zeta(s, a)
+                got = _hurwitz_zeta(s, a)
+                assert abs(got - want) <= 1e-15 * want, (s, a)
 
 
 class TestConfig:
@@ -339,8 +363,6 @@ class TestConfig:
             EvalConfig(max_terms=0)
         with pytest.raises(DomainError):
             EvalConfig(quad_depth=0)
-        with pytest.raises(DomainError):
-            EvalConfig(strategy="newton")
 
     def test_result_validation(self):
         with pytest.raises(DomainError):
