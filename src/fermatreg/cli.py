@@ -47,7 +47,6 @@ def _cfg_from_args(args) -> EvalConfig:
     return EvalConfig(
         tol=pick(args.tol, "TOL", float, 1e-8),
         max_terms=pick(args.max_terms, "MAX_TERMS", int, 500_000),
-        quad_depth=pick(args.quad_depth, "QUAD_DEPTH", int, 10),
     )
 
 
@@ -55,9 +54,7 @@ def _add_cfg_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=None,
                    help="absolute tolerance (default 1e-8)")
     p.add_argument("--max-terms", type=int, default=None,
-                   help="series term budget (default 500000)")
-    p.add_argument("--quad-depth", type=int, default=None,
-                   help="quadrature halving levels (default 10)")
+                   help="series term budget, at least 4 (default 500000)")
 
 
 def _record(inputs: dict, value: float, err: float, provenance: str,

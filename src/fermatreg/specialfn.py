@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -86,19 +86,17 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Evaluation knobs: tolerance and budgets."""
+    """Evaluation knobs: tolerance and series term budget."""
 
     tol: float = 1e-8
     max_terms: int = 500_000
-    quad_depth: int = 10
 
     def __post_init__(self):
         if not (self.tol > 0.0):
             raise DomainError("tol must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be at least 1")
-        if self.quad_depth < 1:
-            raise DomainError("quad_depth must be at least 1")
+        if self.max_terms < 4:
+            # the algebraic tail fit samples four distinct terms k >= 1
+            raise DomainError("max_terms must be at least 4")
 
 
 def _as_fraction(x: Rational) -> Fraction:
@@ -149,9 +147,6 @@ class Hyp3F2Params:
 
     def uppers(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.a1, self.a2, self.a3)
-
-    def lowers(self) -> tuple[Fraction, Fraction]:
-        return (self.b1, self.b2)
 
 
 def log_gamma(x: float) -> float:
@@ -211,16 +206,13 @@ def gauss_2f1_unit(a: float, b: float, c: float) -> float:
 
 # --- tanh-sinh quadrature on (0, 1) ---------------------------------------
 #
-# Nodes x = (1 + tanh((pi/2) sinh u)) / 2.  Integrands may accept (x,) or
-# (x, 1-x); the two-argument form receives the complement computed directly
-# from the transform, so algebraic singularities at either endpoint can be
-# resolved to full double precision.  One-argument integrands cannot see
-# 1-x below machine epsilon, so their u-range is capped earlier and a
-# truncation allowance is added to the error bound.
+# Nodes x = (1 + tanh((pi/2) sinh u)) / 2.  Integrands receive (x, 1-x), the
+# complement computed directly from the transform, so algebraic
+# singularities at either endpoint can be resolved to full double precision.
 
-_U_MAX_TWO_ARG = 6.05   # keeps exp(-2v) above the subnormal floor
-_U_MAX_ONE_ARG = 3.10   # keeps both x and 1-x representable around 0.5
+_U_MAX = 6.05        # keeps exp(-2v) above the subnormal floor
 _H0 = 0.5
+_QUAD_LEVELS = 10    # halvings of _H0 before BudgetExceededError
 
 
 def _ts_point(u: float) -> tuple[float, float, float]:
@@ -235,8 +227,8 @@ def _ts_point(u: float) -> tuple[float, float, float]:
     return small, big, w
 
 
-def _call_integrand(f: Callable, two_arg: bool, x: float, xc: float):
-    fv = f(x, xc) if two_arg else f(x)
+def _call_integrand(f: Callable, x: float, xc: float):
+    fv = f(x, xc)
     if isinstance(fv, complex):
         if not (math.isfinite(fv.real) and math.isfinite(fv.imag)):
             raise NonFiniteSampleError(f"integrand not finite at x={x!r}")
@@ -245,60 +237,42 @@ def _call_integrand(f: Callable, two_arg: bool, x: float, xc: float):
     return fv
 
 
-def _integrand_arity(f: Callable) -> bool:
-    """True when f accepts (x, 1-x)."""
-    try:
-        import inspect
-
-        sig = inspect.signature(f)
-        n_positional = 0
-        for p in sig.parameters.values():
-            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD):
-                n_positional += 1
-            elif p.kind == p.VAR_POSITIONAL:
-                return True
-        return n_positional >= 2
-    except (TypeError, ValueError):
-        return False
-
-
 def de_quadrature(f: Callable, cfg: EvalConfig) -> EvalResult:
-    """Integrate f over (0, 1) with a double-exponential (tanh-sinh) rule.
+    """Integrate f(x, 1 - x) over (0, 1) with the tanh-sinh rule.
 
+    The callback receives each node x together with its complement
+    ``xc = 1 - x`` computed without cancellation, so it can resolve strong
+    singularities at both endpoints exactly: write log(1 - x) as
+    ``log(xc)``, not ``log1p(-x)``, which reaches log(0) near x = 1.
     Never samples the endpoints.  The error estimate combines the last
     inter-level difference with a tail allowance for the truncated ends of
     the transformed axis, sized from the measured decay across the two
     outermost node rings; halving levels stop as soon as the estimate
     reaches ``cfg.tol`` and raise :class:`BudgetExceededError` (carrying the
-    best result) when ``cfg.quad_depth`` levels are exhausted first.
-    Integrand callbacks may take ``(x)`` or ``(x, one_minus_x)``; the latter
-    resolves strong endpoint singularities exactly.
+    best result) when 10 levels are exhausted first.
     """
-    two_arg = _integrand_arity(f)
-    u_max = _U_MAX_TWO_ARG if two_arg else _U_MAX_ONE_ARG
-
     effort = 0
     h = _H0
-    n0 = int(u_max / h)
+    n0 = int(_U_MAX / h)
     total = 0.0
     for k in range(-n0, n0 + 1):
         x, xc, w = _ts_point(k * h)
-        total = total + w * _call_integrand(f, two_arg, x, xc)
+        total = total + w * _call_integrand(f, x, xc)
         effort += 1
     estimate = h * total
     prev = None
     err = abs(estimate) + 1.0
 
-    for level in range(1, cfg.quad_depth + 1):
+    for level in range(1, _QUAD_LEVELS + 1):
         h *= 0.5
-        n = int(u_max / h)
+        n = int(_U_MAX / h)
         add = 0.0
         g_out = 0.0
         g_in = 0.0
         first_odd = n if n % 2 == 1 else n - 1
         for k in range(-first_odd, n + 1, 2):  # odd multiples only: k*h is new
             x, xc, w = _ts_point(k * h)
-            fv = _call_integrand(f, two_arg, x, xc)
+            fv = _call_integrand(f, x, xc)
             term = w * fv
             add = add + term
             ak = abs(k)
@@ -318,14 +292,14 @@ def de_quadrature(f: Callable, cfg: EvalConfig) -> EvalResult:
         elif g_out < g_in:
             trunc = 8.0 * h * g_out / (1.0 - g_out / g_in)
         else:
-            trunc = 2.0 * u_max * g_out
+            trunc = 2.0 * _U_MAX * g_out
         err = diff + trunc + 8.0 * _EPS * (1.0 + abs(estimate))
         if err <= cfg.tol and level >= 2:
             return EvalResult(estimate, err, effort)
 
     best = EvalResult(estimate, err, effort)
     raise BudgetExceededError(
-        f"tolerance {cfg.tol:g} not reached in {cfg.quad_depth} halving levels", best)
+        f"tolerance {cfg.tol:g} not reached in {_QUAD_LEVELS} halving levels", best)
 
 
 def one_minus_root(x: float, xc: float, n: int) -> float:
@@ -376,25 +350,34 @@ def _hurwitz_zeta(s: float, a: float) -> float:
     return head + a ** (1.0 - s) / (s - 1.0) + 0.5 * a ** -s + em
 
 
-def algebraic_tail_sum(ks: Sequence[int], ts: Sequence[float], s: float,
-                       start: int, rel_noise: float = 4e-16) -> tuple[float, float]:
-    """Close a series tail whose terms behave like k^(-1-s) for large k.
+def _tail_nodes(k_top: int) -> list[int]:
+    """The four term indices the tail fit samples, k_top first."""
+    step = max(1, k_top // 8)
+    return [k_top, k_top - step, k_top - 2 * step, k_top - 3 * step]
 
-    Fits t_k ~ k^(-1-s) (d0 + d1/k + d2/k^2 + d3/k^3) through the sampled
-    (k, t_k) pairs and sums the model exactly from ``start`` with Hurwitz
-    zetas.  Returns (tail, model_err); model_err is twice the difference
-    between the 4- and 3-coefficient fits plus the fit's amplification of
+
+def algebraic_tail_sum(term: Callable[[int], float], k_top: int, s: float,
+                       rel_noise: float = 4e-16) -> tuple[float, float]:
+    """Close sum_{k > k_top} t_k for terms behaving like k^(-1-s) at large k.
+
+    ``term(k)`` returns t_k and is called at four nodes,
+    ``k_top - i * max(1, k_top // 8)`` for i = 0..3, so ``k_top`` must be
+    at least 4.  Fits t_k ~ k^(-1-s) (d0 + d1/k + d2/k^2 + d3/k^3) through
+    them and sums the model exactly from ``k_top + 1`` with Hurwitz zetas.
+    Returns (tail, model_err); model_err is twice the difference between
+    the 4- and 3-coefficient fits plus the fit's amplification of
     ``rel_noise``, the relative rounding noise of the supplied terms.
     """
-    if len(ks) < 4:
-        raise DomainError("tail fit needs at least 4 samples")
-    K = float(max(ks))
+    ks = _tail_nodes(k_top)
+    if ks[-1] < 1:
+        raise DomainError("tail fit needs k_top >= 4")
+    K = float(k_top)
     # scaled variables z = K/k keep the Vandermonde well conditioned
     A = np.array([[(K / k) ** p for p in range(4)] for k in ks], dtype=float)
-    y = np.array([t * float(k) ** (1.0 + s) for k, t in zip(ks, ts)], dtype=float)
+    y = np.array([term(k) * float(k) ** (1.0 + s) for k in ks], dtype=float)
     coef4 = np.linalg.solve(A, y)
     coef3 = np.linalg.solve(A[:3, :3], y[:3])
-    z = [_hurwitz_zeta(1.0 + s + p, start) for p in range(4)]
+    z = [_hurwitz_zeta(1.0 + s + p, k_top + 1) for p in range(4)]
     tail4 = sum(coef4[p] * K ** p * z[p] for p in range(4))
     tail3 = sum(coef3[p] * K ** p * z[p] for p in range(3))
     # term noise enters the solved coefficients scaled by the inverse row
@@ -409,33 +392,55 @@ def algebraic_tail_sum(ks: Sequence[int], ts: Sequence[float], s: float,
 
 _CHECKPOINTS = (2048, 8192, 32768, 131072, 524288)
 
-def _series_eval(p: Hyp3F2Params, cfg: EvalConfig) -> EvalResult:
-    """Direct ascending-k summation closed with the fitted algebraic tail."""
+
+def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
+    """Evaluate 3F2(a1,a2,a3; b1,b2; 1) with a certified error bound.
+
+    Raises :class:`DivergentParametersError` unless the parameter excess is
+    positive (or an upper parameter is zero, which truncates the series to 1).
+    Sums the series in ascending order and closes the tail with the fitted
+    algebraic model, so it stays accurate at small excess: the script-F
+    parameters with excess down to 1/97 are certified at the default ``tol``,
+    and their ``err`` is tested against 30-digit references.  The tail is
+    fitted at checkpoints up to ``cfg.max_terms``; on a budget failure the
+    result with the smallest ``err`` is attached, with ``effort`` counting
+    every term summed.
+    """
+    if any(a == 0 for a in p.uppers()):
+        return EvalResult(1.0, 0.0, 1)
+    if p.excess <= 0:
+        raise DivergentParametersError(
+            f"excess {p.excess} is not positive; the unit-argument series diverges")
     a1, a2, a3 = (float(p.a1), float(p.a2), float(p.a3))
     b1, b2 = (float(p.b1), float(p.b2))
     s = float(p.excess)
 
+    checkpoints = [c for c in _CHECKPOINTS if c < cfg.max_terms] + [cfg.max_terms]
+    # only the tail-fit terms are kept as the blocks go by.  A grid
+    # checkpoint's nodes lie above 5/8 of it, past the checkpoint before
+    # it; an off-grid budget's can lie further back, so they are wanted
+    # from the first block
+    wanted = set(_tail_nodes(cfg.max_terms))
+    nodes: dict[int, float] = {}
     block = 4096
-    blocks: list[np.ndarray] = []
     block_sums: list[float] = []
     abs_sum = 1.0
     drift = 0.0   # sum of k*|t_k|: the recurrence loses ~k ulps by term k
     t_prev = 1.0  # term at k = 0
     count = 1     # terms summed so far (k = 0 included)
 
-    checkpoints = [c for c in _CHECKPOINTS if c <= cfg.max_terms]
-    if not checkpoints or checkpoints[-1] != cfg.max_terms:
-        checkpoints.append(cfg.max_terms)
-
     best: Optional[EvalResult] = None
     for K in checkpoints:
+        wanted.update(_tail_nodes(K))
         while count <= K:
             n = min(block, K + 1 - count)
             ks = np.arange(count - 1, count - 1 + n, dtype=np.float64)
             r = ((a1 + ks) * (a2 + ks) * (a3 + ks)) \
                 / ((b1 + ks) * (b2 + ks) * (1.0 + ks))
-            terms = t_prev * np.cumprod(r)
-            blocks.append(terms)
+            terms = t_prev * np.cumprod(r)  # terms[i] is t_(count + i)
+            for k in wanted:
+                if count <= k < count + n:
+                    nodes[k] = float(terms[k - count])
             block_sums.append(float(np.sum(terms)))
             abs_terms = np.abs(terms)
             abs_sum += float(np.sum(abs_terms))
@@ -448,19 +453,11 @@ def _series_eval(p: Hyp3F2Params, cfg: EvalConfig) -> EvalResult:
                 err = 4.0 * _EPS * abs_sum
                 return EvalResult(partial, err, count)
 
-        k_top = count - 1
-        step = max(1, k_top // 8)
-        nodes = [k_top - i * step for i in range(4)]
-        if nodes[-1] < 1:
-            continue
-        # blocks can end short at checkpoint boundaries, so index a flat copy
-        flat = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-        tail, model_err = algebraic_tail_sum(
-            nodes, [float(flat[k - 1]) for k in nodes], s, k_top + 1)
+        tail, model_err = algebraic_tail_sum(nodes.__getitem__, K, s)
         partial = 1.0 + math.fsum(block_sums)
         value = partial + tail
         err = model_err + 2.0 * _EPS * drift \
-            + 2.0 * _EPS * k_top * abs(tail) \
+            + 2.0 * _EPS * K * abs(tail) \
             + 4.0 * _EPS * (abs_sum + abs(tail)) + 1e-18
         result = EvalResult(value, err, count)
         if best is None or err < best.err:
@@ -468,24 +465,6 @@ def _series_eval(p: Hyp3F2Params, cfg: EvalConfig) -> EvalResult:
         if err <= cfg.tol:
             return result
 
-    assert best is not None
     raise BudgetExceededError(
-        f"series tolerance {cfg.tol:g} not reached within {cfg.max_terms} terms", best)
-
-
-def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
-    """Evaluate 3F2(a1,a2,a3; b1,b2; 1) with a certified error bound.
-
-    Raises :class:`DivergentParametersError` unless the parameter excess is
-    positive (or an upper parameter is zero, which truncates the series to 1).
-    Sums the series in ascending order and closes the tail with the fitted
-    algebraic model, so it stays accurate at small excess: the script-F
-    parameters with excess down to 1/97 are certified at the default ``tol``,
-    and their ``err`` is tested against 30-digit references.
-    """
-    if any(a == 0 for a in p.uppers()):
-        return EvalResult(1.0, 0.0, 1)
-    if p.excess <= 0:
-        raise DivergentParametersError(
-            f"excess {p.excess} is not positive; the unit-argument series diverges")
-    return _series_eval(p, cfg)
+        f"series tolerance {cfg.tol:g} not reached within {cfg.max_terms} terms",
+        EvalResult(best.value, best.err, count))

@@ -127,7 +127,7 @@ def _special_checks(cfg: EvalConfig) -> list[CheckResult]:
     q = specialfn.de_quadrature(lambda x, xc: x ** (-0.5) * xc ** (-0.5), cfg)
     out.append(_check("endpoint-singular quadrature vs pi",
                       abs(q.value - math.pi), 1e-10))
-    q = specialfn.de_quadrature(lambda t: math.log1p(-t), cfg)
+    q = specialfn.de_quadrature(lambda x, xc: math.log(xc), cfg)
     out.append(_check("log-endpoint quadrature vs -1", abs(q.value + 1.0), 1e-8))
 
     return out

@@ -62,6 +62,13 @@ class TestHyp3F2Command:
         (rec,) = records(p.stdout)
         assert abs(rec["value"] - 1.766233869657059933008) <= 1e-9
 
+    def test_max_terms_below_4_exits_2(self):
+        p = run_cli("hyp3f2", "--a1", "1", "--a2", "1", "--a3", "1",
+                    "--b1", "2", "--b2", "2", "--max-terms", "3")
+        assert p.returncode == 2
+        assert b"max_terms" in p.stderr
+        assert b"Traceback" not in p.stderr
+
 
 class TestRegCommand:
     def test_holo_diagonal_zero(self):

@@ -22,7 +22,7 @@ from fermatreg.regulator import (
     script_F,
 )
 from fermatreg.specialfn import Hyp3F2Params, hyp3f2_unit
-from fermatreg.specialfn import DomainError, EvalConfig, beta
+from fermatreg.specialfn import BudgetExceededError, DomainError, EvalConfig, beta
 
 CFG = EvalConfig()
 
@@ -232,6 +232,14 @@ class TestOracleSeriesSum:
             s = oracle_series_sum(a, b, N, CFG)
             l = log_integral(a, b, N, variable="x", cfg=CFG)
             assert abs(s.value + l.value) <= s.err + l.err
+
+    def test_too_few_terms_bound_nothing(self):
+        # 63 terms of the b/N = 1/97 series sum to 5.70; the sum is 102.57
+        with pytest.raises(BudgetExceededError) as ei:
+            oracle_series_sum(1, 1, 97, EvalConfig(max_terms=63))
+        best = ei.value.result
+        want = -log_integral(1, 1, 97, variable="x", cfg=CFG).value
+        assert abs(best.value - want) <= best.err
 
     def test_terms_positive_and_increasing_partials(self):
         a, b, N = 1, 2, 5
