@@ -32,11 +32,13 @@ r = hyp3f2_unit(p, EvalConfig())
 print(f"  value  {r.value:.15f}  err {r.err:.1e}  effort {r.effort}")
 print()
 
-# the terms decay like k^(-1-excess), far too slowly to sum to the end;
-# the series is summed to a checkpoint and the remaining tail is closed
-# with a fitted algebraic model summed exactly by Hurwitz zetas.  err
-# covers the model's defect and the rounding of every term; the tests hold
-# it against 30-digit references down to excess 1/97.
+# the terms decay like k^(-1-excess), far too slowly to sum to the end.
+# A Thomae transform turns this series into one of excess 1, its largest
+# upper parameter, times a ratio of Gamma values; that series is summed to a
+# checkpoint and the remaining tail is closed with a fitted algebraic
+# model summed exactly by Hurwitz zetas.  err covers the model's defect,
+# the rounding of every term and of the Gamma prefactor of the transform;
+# the tests hold it against 30-digit references down to excess 1/97.
 
 # divergent parameter sets are rejected up front
 try:

@@ -3,8 +3,8 @@
 The package has three layers:
 
 * :mod:`fermatreg.specialfn` -- log-gamma, beta, Pochhammer, tanh-sinh
-  quadrature and a certified 3F2-at-unit-argument evaluator (an accelerated
-  series with a fitted algebraic tail);
+  quadrature and a certified 3F2-at-unit-argument evaluator (a
+  Thomae-transformed, accelerated series with a fitted algebraic tail);
 * :mod:`fermatreg.fermat` -- eigenform indexing on the curve x^N + y^N = 1,
   period constants, the root-of-unity coefficients mu and mu_half, and the
   Hodge-class predicate for prime N;

@@ -22,7 +22,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import __version__, fermat, regulator, verify
+from . import __version__, fermat, regulator
 from .specialfn import (
     BudgetExceededError,
     DomainError,
@@ -199,6 +199,9 @@ def _cmd_hodge(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here so that the other commands do not pay for it
+    from . import verify
+
     cfg = _cfg_from_args(args)
     results = verify.run_suite(args.suite, cfg)
     for r in results:

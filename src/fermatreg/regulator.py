@@ -37,6 +37,7 @@ from .specialfn import (
     algebraic_tail_sum,
     beta,
     de_quadrature,
+    gamma_ratio,
     hyp3f2_unit,
     one_minus_root,
 )
@@ -96,7 +97,9 @@ def script_F(a: int, j: int, b: int, N: int,
     """The positive script-F building block; see the module docstring.
 
     Requires (a, b) in the index set and j >= 1.  Always convergent: the
-    series excess is b/N regardless of j.
+    series excess is b/N regardless of j, and :func:`hyp3f2_unit` sums it
+    at excess at least 1 after a Thomae transform.  ``err`` includes the
+    rounding of the Gamma-ratio prefactor (see :func:`gamma_ratio`).
     """
     _require_index(a, b, N)
     if j < 1:
@@ -106,9 +109,14 @@ def script_F(a: int, j: int, b: int, N: int,
         Fraction(a_r + j, N), Fraction(j, N), 1,
         Fraction(a_r + b_r + j, N), Fraction(j, N) + 1)
     hyp = hyp3f2_unit(params, cfg)
-    pref = beta((a_r + j) / N, b_r / N) / (j * beta(a_r / N, b_r / N))
+    # B((a+j)/N, b/N) / B(a/N, b/N), with the common Gamma(b/N) cancelled;
+    # the division by j and the product below round once each
+    ratio, rel = gamma_ratio(((a_r + j) / N, (a_r + b_r) / N),
+                             ((a_r + b_r + j) / N, a_r / N))
+    rel += 2.0 * _EPS
+    pref = ratio / j
     value = pref * hyp.value
-    err = pref * hyp.err + 4.0 * _EPS * abs(value)
+    err = pref * hyp.err * (1.0 + rel) + rel * abs(value)
     return EvalResult(value, err, hyp.effort)
 
 

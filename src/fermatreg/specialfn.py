@@ -1,13 +1,16 @@
 """Special functions with exact-rational parameters and certified error bounds.
 
-Log-gamma, beta, Pochhammer, 3F2 at unit argument, and a tanh-sinh quadrature
-rule for integrands with endpoint singularities.
+Log-gamma, beta, Gamma ratios, Pochhammer, 3F2 at unit argument, and a
+tanh-sinh quadrature rule for integrands with endpoint singularities.
 
-The 3F2 evaluator sums the series directly and closes the algebraic tail
-with a fitted Hurwitz-zeta model (the accelerated series).
+The 3F2 evaluator first applies a Thomae transform, chosen from the
+parameters alone, that raises the series excess (to at least 1 for every
+script-F term), then sums the series in a plain Python loop and closes the
+algebraic tail with a fitted Hurwitz-zeta model (the accelerated series).
 Parameters are carried as exact rationals; floats appear only inside kernels.
-All operations are pure, stateless and thread-safe, and summation order is
-fixed (ascending k) so results are bitwise reproducible.
+The module needs nothing beyond the standard library.  All operations are
+pure, stateless and thread-safe, and summation order is fixed (ascending k)
+so results are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -15,9 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
-
-import numpy as np
+from operator import mul
+from typing import Callable, Optional, Sequence, Union
 
 __all__ = [
     "DomainError",
@@ -29,6 +31,7 @@ __all__ = [
     "Hyp3F2Params",
     "log_gamma",
     "beta",
+    "gamma_ratio",
     "pochhammer",
     "gauss_2f1_unit",
     "hyp3f2_unit",
@@ -168,6 +171,33 @@ def beta(m: float, n: float) -> float:
     if not (m > 0.0 and n > 0.0):
         raise DomainError("beta requires positive arguments")
     return math.exp(log_gamma(m) + log_gamma(n) - log_gamma(m + n))
+
+
+# math.lgamma at every k/N with N prime below 400 and k <= 3N errs by at
+# most 7 eps * max(1, |lgamma|) against a 30-digit reference at the exact
+# rational, argument rounding included; the allowance per lgamma is 32 of
+# those units, which also covers rounding the sum of up to six of them
+_LGAMMA_ULPS = 32.0
+
+
+def gamma_ratio(num: Sequence[float], den: Sequence[float]) -> tuple[float, float]:
+    """prod Gamma(x) over ``num`` divided by prod Gamma(y) over ``den``.
+
+    Every argument must be positive and should be a correctly rounded
+    rational such as ``p / q`` of two ints, the case the error model was
+    measured on.  Returns (value, rel_err): each log-gamma is allowed
+    ``32 eps max(1, |lgamma|)``, and ``exp`` one more rounding.
+    """
+    lg = 0.0
+    lg_err = 0.0
+    for sign, args in ((1.0, num), (-1.0, den)):
+        for x in args:
+            if not x > 0.0:
+                raise DomainError("gamma_ratio requires positive arguments")
+            v = math.lgamma(x)
+            lg += sign * v
+            lg_err += max(1.0, abs(v))
+    return math.exp(lg), math.expm1(_LGAMMA_ULPS * _EPS * lg_err) + 2.0 * _EPS
 
 
 def pochhammer(alpha, k: int):
@@ -356,6 +386,27 @@ def _tail_nodes(k_top: int) -> list[int]:
     return [k_top, k_top - step, k_top - 2 * step, k_top - 3 * step]
 
 
+def _gauss_jordan(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
+    """X with a X = b, for a small nonsingular ``a``, by Gauss-Jordan
+    elimination with partial pivoting; ``b`` holds the right-hand sides as
+    columns, so an identity block there yields the inverse."""
+    n = len(a)
+    rows = [ra + rb for ra, rb in zip(a, b)]
+    for c in range(n):
+        piv = c
+        for r in range(c + 1, n):
+            if abs(rows[r][c]) > abs(rows[piv][c]):
+                piv = r
+        rows[c], rows[piv] = rows[piv], rows[c]
+        pivot = rows[c][c]
+        prow = rows[c] = [v / pivot for v in rows[c]]
+        for r in range(n):
+            f = rows[r][c]
+            if r != c and f != 0.0:
+                rows[r] = [v - f * w for v, w in zip(rows[r], prow)]
+    return [row[n:] for row in rows]
+
+
 def algebraic_tail_sum(term: Callable[[int], float], k_top: int, s: float,
                        rel_noise: float = 4e-16) -> tuple[float, float]:
     """Close sum_{k > k_top} t_k for terms behaving like k^(-1-s) at large k.
@@ -364,105 +415,187 @@ def algebraic_tail_sum(term: Callable[[int], float], k_top: int, s: float,
     ``k_top - i * max(1, k_top // 8)`` for i = 0..3, so ``k_top`` must be
     at least 4.  Fits t_k ~ k^(-1-s) (d0 + d1/k + d2/k^2 + d3/k^3) through
     them and sums the model exactly from ``k_top + 1`` with Hurwitz zetas.
-    Returns (tail, model_err); model_err is twice the difference between
-    the 4- and 3-coefficient fits plus the fit's amplification of
-    ``rel_noise``, the relative rounding noise of the supplied terms.
+    The 4-coefficient fit comes from a Gauss-Jordan inverse of its 4x4
+    matrix, the 3-coefficient one from a 3x3 solve; any ``k_top`` takes
+    the same route.  Returns (tail, model_err); model_err is twice the
+    difference between the 4- and 3-coefficient fits plus the fit's
+    amplification of ``rel_noise``, the relative rounding noise of the
+    supplied terms.
     """
     ks = _tail_nodes(k_top)
     if ks[-1] < 1:
         raise DomainError("tail fit needs k_top >= 4")
     K = float(k_top)
     # scaled variables z = K/k keep the Vandermonde well conditioned
-    A = np.array([[(K / k) ** p for p in range(4)] for k in ks], dtype=float)
-    y = np.array([term(k) * float(k) ** (1.0 + s) for k in ks], dtype=float)
-    coef4 = np.linalg.solve(A, y)
-    coef3 = np.linalg.solve(A[:3, :3], y[:3])
-    z = [_hurwitz_zeta(1.0 + s + p, k_top + 1) for p in range(4)]
-    tail4 = sum(coef4[p] * K ** p * z[p] for p in range(4))
-    tail3 = sum(coef3[p] * K ** p * z[p] for p in range(3))
+    A = [[(K / k) ** p for p in range(4)] for k in ks]
+    y = [term(k) * float(k) ** (1.0 + s) for k in ks]
+    unit = [[float(i == j) for j in range(4)] for i in range(4)]
+    inv = _gauss_jordan(A, unit)
+    coef4 = [sum(map(mul, row, y)) for row in inv]
+    coef3 = [c for (c,) in _gauss_jordan([r[:3] for r in A[:3]], [[v] for v in y[:3]])]
+    w = [K ** p * _hurwitz_zeta(1.0 + s + p, k_top + 1) for p in range(4)]
+    tail4 = sum(map(mul, coef4, w))
+    tail3 = sum(map(mul, coef3, w))
     # term noise enters the solved coefficients scaled by the inverse row
     # sums and lands on the tail through the (positive) zeta weights
-    amp = float(np.abs(np.linalg.inv(A)).sum(axis=1).max())
-    noise = amp * rel_noise * float(np.abs(y).max()) * sum(
-        K ** p * z[p] for p in range(4))
-    return float(tail4), 2.0 * abs(float(tail4) - float(tail3)) + noise
+    amp = max(sum(map(abs, row)) for row in inv)
+    noise = amp * rel_noise * max(map(abs, y)) * sum(w)
+    return tail4, 2.0 * abs(tail4 - tail3) + noise
 
 
 # --- 3F2 at unit argument ---------------------------------------------------
 
-_CHECKPOINTS = (2048, 8192, 32768, 131072, 524288)
+_FIRST_CHECKPOINT = 64  # tail fits at 64 * 2^m terms, then at cfg.max_terms
+_BLOCK = 256            # terms per fsum block; only the block sums are kept
+
+
+def _integer_params(p: Hyp3F2Params) -> tuple[list[int], int, int, int, int]:
+    """The parameters over their least common denominator D.
+
+    Returns (upper numerators, lower numerators b1 and b2, excess numerator,
+    D).  Integer arithmetic keeps the transform choice exact and cheap.
+    """
+    fr = (p.a1, p.a2, p.a3, p.b1, p.b2)
+    D = math.lcm(*(q.denominator for q in fr))
+    a1, a2, a3, b1, b2 = (q.numerator * (D // q.denominator) for q in fr)
+    s = b1 + b2 - a1 - a2 - a3
+    if s <= 0:
+        raise DivergentParametersError(
+            f"excess {Fraction(s, D)} is not positive; the unit-argument series diverges")
+    return [a1, a2, a3], b1, b2, s, D
+
+
+def _thomae_pick(ups: list[int], b1: int, b2: int, s: int) -> Optional[int]:
+    """Index of the upper parameter the Thomae transform of
+    :func:`hyp3f2_unit` uses, or None to sum directly; all arguments are
+    numerators over one common denominator."""
+    pick = None
+    if b1 > 0 and b2 > 0:
+        for i, a in enumerate(ups):
+            o1, o2 = ups[:i] + ups[i + 1:]
+            if a > s and s + o1 > 0 and s + o2 > 0 and (pick is None or a > ups[pick]):
+                pick = i
+    return pick
 
 
 def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Evaluate 3F2(a1,a2,a3; b1,b2; 1) with a certified error bound.
 
-    Raises :class:`DivergentParametersError` unless the parameter excess is
-    positive (or an upper parameter is zero, which truncates the series to 1).
-    Sums the series in ascending order and closes the tail with the fitted
-    algebraic model, so it stays accurate at small excess: the script-F
-    parameters with excess down to 1/97 are certified at the default ``tol``,
-    and their ``err`` is tested against 30-digit references.  The tail is
-    fitted at checkpoints up to ``cfg.max_terms``; on a budget failure the
-    result with the smallest ``err`` is attached, with ``effort`` counting
-    every term summed.
+    Raises :class:`DivergentParametersError` unless the parameter excess
+    ``s = b1+b2-a1-a2-a3`` is positive (or an upper parameter is zero,
+    which truncates the series to 1).
+
+    Transform.  Thomae's relation (Bailey 1935, 3.2) gives, for an upper
+    parameter ``a`` with the other two ``o1``, ``o2``,
+
+        3F2(a, o1, o2; b1, b2; 1) = G(b1) G(b2) G(s) / (G(a) G(s+o1) G(s+o2))
+                                    * 3F2(b1-a, b2-a, s; s+o1, s+o2; 1),
+
+    a series of excess ``a``.  The largest upper parameter (the first on
+    ties) that exceeds ``s`` and leaves every Gamma argument positive is
+    taken; with none, the series is summed directly.  The choice depends
+    on the parameters alone, so reruns are bit-identical.  Every script-F
+    term qualifies through its upper parameter 1 (its excess is b/N < 1)
+    and is summed at excess at least 1; Basel, 3F2(1,1,1; 2,2; 1), stays
+    direct.
+
+    Summation.  Terms are streamed in ascending order in blocks, each
+    summed with ``math.fsum``; the algebraic tail is closed by
+    :func:`algebraic_tail_sum` at checkpoints of 64, 128, 256, ... terms
+    below ``cfg.max_terms``, and at ``cfg.max_terms`` itself.  A
+    nonpositive-integer upper parameter ends the series exactly.
+
+    Error.  ``err`` adds the tail model's error, the recurrence drift
+    ``2 eps sum k|t_k|``, the rounding of the sums, and, for a transformed
+    series, the Gamma prefactor's rounding (see :func:`gamma_ratio`)
+    scaled onto the value.  Each checkpoint compares this final ``err``
+    with ``cfg.tol``.  On a budget failure the result with the smallest
+    ``err`` is attached, with ``effort`` counting every term summed.
     """
     if any(a == 0 for a in p.uppers()):
         return EvalResult(1.0, 0.0, 1)
-    if p.excess <= 0:
-        raise DivergentParametersError(
-            f"excess {p.excess} is not positive; the unit-argument series diverges")
-    a1, a2, a3 = (float(p.a1), float(p.a2), float(p.a3))
-    b1, b2 = (float(p.b1), float(p.b2))
-    s = float(p.excess)
+    ups, b1, b2, s, D = _integer_params(p)
+    pick = _thomae_pick(ups, b1, b2, s)
+    if pick is None:
+        return _sum_series(ups, b1, b2, s, D, cfg)
+    a = ups[pick]
+    o1, o2 = ups[:pick] + ups[pick + 1:]
+    pref, rel = gamma_ratio((b1 / D, b2 / D, s / D),
+                            (a / D, (s + o1) / D, (s + o2) / D))
+    return _sum_series([b1 - a, b2 - a, s], s + o1, s + o2, a, D, cfg, pref, rel)
 
-    checkpoints = [c for c in _CHECKPOINTS if c < cfg.max_terms] + [cfg.max_terms]
+
+def _hyp3f2_direct(p: Hyp3F2Params, cfg: EvalConfig) -> EvalResult:
+    """The untransformed series of :func:`hyp3f2_unit`, an independent check."""
+    return _sum_series(*_integer_params(p), cfg)
+
+
+def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
+                cfg: EvalConfig, pref: float = 1.0, rel: float = 0.0) -> EvalResult:
+    """pref * 3F2(ups/D; b1/D, b2/D; 1), where s/D is the excess and
+    ``rel`` bounds the relative error of ``pref``."""
+    a1, a2, a3 = (n / D for n in ups)
+    c1, c2 = b1 / D, b2 / D
+    # the series ends at term m when an upper parameter is -m
+    ends = [-n // D for n in ups if n <= 0 and n % D == 0]
+    last = min(ends) if ends else None
+    if last is not None and last < cfg.max_terms:
+        checkpoints = [last]
+    else:
+        checkpoints = []
+        K = _FIRST_CHECKPOINT
+        while K < cfg.max_terms:
+            checkpoints.append(K)
+            K *= 2
+        checkpoints.append(cfg.max_terms)
+
+    def scaled(series: float, series_err: float, effort: int) -> EvalResult:
+        value = pref * series
+        return EvalResult(value, pref * series_err * (1.0 + rel) + rel * abs(value),
+                          effort)
+
     # only the tail-fit terms are kept as the blocks go by.  A grid
     # checkpoint's nodes lie above 5/8 of it, past the checkpoint before
     # it; an off-grid budget's can lie further back, so they are wanted
     # from the first block
     wanted = set(_tail_nodes(cfg.max_terms))
     nodes: dict[int, float] = {}
-    block = 4096
     block_sums: list[float] = []
     abs_sum = 1.0
     drift = 0.0   # sum of k*|t_k|: the recurrence loses ~k ulps by term k
-    t_prev = 1.0  # term at k = 0
+    t = 1.0       # term at k = 0
     count = 1     # terms summed so far (k = 0 included)
 
     best: Optional[EvalResult] = None
     for K in checkpoints:
         wanted.update(_tail_nodes(K))
         while count <= K:
-            n = min(block, K + 1 - count)
-            ks = np.arange(count - 1, count - 1 + n, dtype=np.float64)
-            r = ((a1 + ks) * (a2 + ks) * (a3 + ks)) \
-                / ((b1 + ks) * (b2 + ks) * (1.0 + ks))
-            terms = t_prev * np.cumprod(r)  # terms[i] is t_(count + i)
+            n = min(_BLOCK, K + 1 - count)
+            block = []
+            x = count - 1.0
+            for _ in range(n):
+                t *= (a1 + x) * (a2 + x) * (a3 + x) / ((c1 + x) * (c2 + x) * (x + 1.0))
+                x += 1.0
+                block.append(t)
             for k in wanted:
                 if count <= k < count + n:
-                    nodes[k] = float(terms[k - count])
-            block_sums.append(float(np.sum(terms)))
-            abs_terms = np.abs(terms)
-            abs_sum += float(np.sum(abs_terms))
-            drift += float(np.sum(abs_terms * (ks + 1.0)))
-            t_prev = float(terms[-1])
+                    nodes[k] = block[k - count]
+            block_sums.append(math.fsum(block))
+            abs_sum += sum(map(abs, block))
+            drift += sum(map(mul, map(abs, block), range(count, count + n)))
             count += n
-            if t_prev == 0.0:
-                # a nonpositive-integer upper parameter truncated the series
-                partial = 1.0 + math.fsum(block_sums)
-                err = 4.0 * _EPS * abs_sum
-                return EvalResult(partial, err, count)
-
-        tail, model_err = algebraic_tail_sum(nodes.__getitem__, K, s)
         partial = 1.0 + math.fsum(block_sums)
-        value = partial + tail
+        if K == last:
+            return scaled(partial, 2.0 * _EPS * drift + 4.0 * _EPS * abs_sum, count)
+
+        tail, model_err = algebraic_tail_sum(nodes.__getitem__, K, s / D)
         err = model_err + 2.0 * _EPS * drift \
             + 2.0 * _EPS * K * abs(tail) \
             + 4.0 * _EPS * (abs_sum + abs(tail)) + 1e-18
-        result = EvalResult(value, err, count)
-        if best is None or err < best.err:
+        result = scaled(partial + tail, err, count)
+        if best is None or result.err < best.err:
             best = result
-        if err <= cfg.tol:
+        if result.err <= cfg.tol:
             return result
 
     raise BudgetExceededError(

@@ -109,6 +109,18 @@ def _special_checks(cfg: EvalConfig) -> list[CheckResult]:
     out.append(_check("3F2 err honored against 30-digit references",
                       max(worst, 0.0), 0.0))
 
+    # the untransformed series is a different series with the same sum
+    worst = 0.0
+    direct_cfg = EvalConfig(tol=1e-8)
+    for (a, j, b, N) in (*_SCRIPT_F_3F2_REFS, (95, 97, 1, 97)):
+        p = Hyp3F2Params(Fraction(a + j, N), Fraction(j, N), 1,
+                         Fraction(a + b + j, N), Fraction(j, N) + 1)
+        direct = specialfn._hyp3f2_direct(p, direct_cfg)
+        thomae = specialfn.hyp3f2_unit(p, direct_cfg)
+        worst = max(worst, abs(direct.value - thomae.value) - (direct.err + thomae.err))
+    out.append(_check("Thomae-transformed and direct series agree within errs",
+                      max(worst, 0.0), 0.0))
+
     worst = 0.0
     for _ in range(10):
         N = rng.choice((7, 13, 19, 23))

@@ -219,3 +219,15 @@ class TestDeterminismAndCache:
         plain = run_cli("hyp3f2", "--a1", "1", "--a2", "1", "--a3", "1",
                         "--b1", "2", "--b2", "2")
         assert flag.stdout == plain.stdout
+
+
+class TestColdStart:
+    def test_cli_import_leaves_out_numpy_and_verify(self):
+        # every CLI process pays for what `fermatreg.cli` imports; `verify`
+        # is loaded by its own subcommand only
+        code = ("import sys, fermatreg.cli; "
+                "print(sorted(m for m in ('numpy', 'fermatreg.verify') if m in sys.modules))")
+        p = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, timeout=60)
+        assert p.returncode == 0, p.stderr
+        assert p.stdout.strip() == "[]"

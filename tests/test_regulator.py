@@ -57,6 +57,23 @@ class TestScriptF:
         got = script_F(a, j, b, N, CFG)
         assert abs(got.value - pref * hyp.value) <= 1e-14 * abs(got.value)
 
+    def test_err_honored_against_mpmath(self):
+        # at tol 1e-11 the Beta-ratio prefactor's rounding is no longer
+        # swamped by the series err; the comparison is exact, in rationals
+        from fractions import Fraction as Fr
+
+        mpmath = pytest.importorskip("mpmath")
+        for (a, j, b, N) in ((4, 14, 2, 23), (1, 1, 1, 97), (95, 97, 1, 97),
+                             (1, 23, 21, 23), (3, 2, 4, 13)):
+            with mpmath.workdps(30):
+                q = [mpmath.mpf(v) / N for v in (a + j, j, N, a + b + j, j + N)]
+                want = (mpmath.beta(q[0], mpmath.mpf(b) / N)
+                        / (j * mpmath.beta(mpmath.mpf(a) / N, mpmath.mpf(b) / N))
+                        * mpmath.hyp3f2(*q, 1))
+                want = Fr(mpmath.nstr(want, 30))
+            r = script_F(a, j, b, N, EvalConfig(tol=1e-11))
+            assert abs(Fr(r.value) - want) <= Fr(r.err), (a, j, b, N)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             script_F(1, 0, 1, 3, CFG)  # j must be >= 1
@@ -201,6 +218,16 @@ class TestFIndec:
         for N in (13, 29, 97):
             for i in range(2, N // 4 + 1):
                 assert f_indec(i, N, cfg).err <= cfg.tol, (i, N)
+
+    def test_table_certifies_at_1e_12(self):
+        # all 228 rows of primes 13-97; the direct series stops near 1e-10
+        cfg = EvalConfig(tol=1e-12)
+        rows = 0
+        for N in (n for n in range(13, 98) if all(n % q for q in range(2, n))):
+            for i in range(2, N // 4 + 1):
+                assert f_indec(i, N, cfg).err <= cfg.tol, (i, N)
+                rows += 1
+        assert rows == 228
 
     def test_hodge_flag_positive_case(self):
         # at i = 4, N = 13 the wedge (1,4)^(1,8) satisfies 3i + 1 = N

@@ -19,10 +19,15 @@ from fermatreg.specialfn import (
     EvalResult,
     Hyp3F2Params,
     NonFiniteSampleError,
+    _LGAMMA_ULPS,
     _hurwitz_zeta,
+    _hyp3f2_direct,
+    _integer_params,
+    _thomae_pick,
     algebraic_tail_sum,
     beta,
     de_quadrature,
+    gamma_ratio,
     gauss_2f1_unit,
     hyp3f2_unit,
     log_gamma,
@@ -43,8 +48,9 @@ SCRIPT_F_3F2_REFS = {
 }
 
 
-# excess 1/97: the series cannot reach tol 1e-13 in the default budget
-SLOW_3F2 = Hyp3F2Params(Fr(2, 97), Fr(1, 97), 1, Fr(3, 97), Fr(98, 97))
+# excess 1/97, and no upper parameter exceeds it, so the series is summed
+# directly and cannot reach tol 1e-13 in the default budget
+SLOW_3F2 = Hyp3F2Params(Fr(1, 97), Fr(1, 97), Fr(1, 97), Fr(2, 97), Fr(2, 97))
 
 
 def script_f_params(a, j, b, N):
@@ -116,6 +122,33 @@ class TestBeta:
             beta(0.0, 1.0)
         with pytest.raises(DomainError):
             beta(1.0, -2.0)
+
+
+class TestGammaRatio:
+    def test_lgamma_allowance_covers_measured_error(self):
+        # math.lgamma at every k/N, N prime below 100 and k <= 3N, against
+        # 30 digits at the exact rational: the worst case must use at most
+        # a quarter of the allowance gamma_ratio charges per lgamma
+        mpmath = pytest.importorskip("mpmath")
+        eps = math.ulp(1.0)
+        worst = 0.0
+        with mpmath.workdps(30):
+            for N in (n for n in range(2, 100) if all(n % q for q in range(2, n))):
+                for k in range(1, 3 * N + 1):
+                    want = mpmath.loggamma(mpmath.mpf(k) / N)
+                    got = math.lgamma(k / N)
+                    err = abs(mpmath.mpf(got) - want) / max(1.0, abs(got))
+                    worst = max(worst, float(err) / eps)
+        assert worst <= _LGAMMA_ULPS / 4.0, worst
+
+    def test_value_and_bound(self):
+        # Gamma(1/3) Gamma(2/3) / (Gamma(1/2) Gamma(1/2)) = (2 pi / sqrt 3) / pi
+        value, rel = gamma_ratio((1 / 3, 2 / 3), (1 / 2, 1 / 2))
+        want = 2.0 / math.sqrt(3.0)
+        assert abs(value - want) <= rel * want + 1e-16
+        assert 0.0 < rel < 1e-13
+        with pytest.raises(DomainError):
+            gamma_ratio((1.0,), (0.0,))
 
 
 class TestPochhammer:
@@ -218,9 +251,11 @@ class TestHyp3F2:
             for max_terms in (500_000, 2100, 9000):
                 cfg = EvalConfig(tol=tol, max_terms=max_terms)
                 for key, ref in SCRIPT_F_3F2_REFS.items():
-                    r, _ = eval_or_best(script_f_params(*key), cfg)
+                    r, certified = eval_or_best(script_f_params(*key), cfg)
                     assert abs(Fr(r.value) - Fr(ref)) <= Fr(r.err), \
                         (key, tol, max_terms)
+                    if max_terms == 500_000:
+                        assert certified and r.err <= tol, (key, tol)
 
     def test_err_honored_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
@@ -265,15 +300,15 @@ class TestHyp3F2:
         assert abs(best.value - 1.766233869657059933008) <= best.err
 
     def test_budget_failure_reports_terms_summed(self):
-        # the best err is the first checkpoint's, but the effort is all
+        # the best err is the 1024-term checkpoint's, but the effort is all
         # 500 001 terms (k = 0..500 000) that were summed
         with pytest.raises(BudgetExceededError) as ei:
             hyp3f2_unit(SLOW_3F2, EvalConfig(tol=1e-13))
         assert ei.value.result.effort == 500_001
 
     def test_budget_failure_memory_stays_flat(self):
-        # the series keeps only the tail-fit terms of its 4096-term blocks;
-        # keeping all 500 001 terms would take about 9 MB
+        # the series keeps only the tail-fit terms and the sums of its
+        # blocks; keeping all 500 001 terms would take about 9 MB
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError):
@@ -282,6 +317,33 @@ class TestHyp3F2:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_transform_raises_every_script_f_excess_to_one(self):
+        # every label of N <= 23, and the extreme labels of N = 97
+        for N, labels in ((5, range(1, 5)), (13, range(1, 13)),
+                          (23, range(1, 23)), (97, (1, 2, 48, 95, 96))):
+            for a in labels:
+                for b in labels:
+                    if (a + b) % N == 0:
+                        continue
+                    for j in range(1, N + 1):
+                        ups, b1, b2, s, D = _integer_params(
+                            script_f_params(a, j, b, N))
+                        pick = _thomae_pick(ups, b1, b2, s)
+                        # the new excess is the chosen upper parameter
+                        assert pick is not None and ups[pick] >= D, (a, j, b, N)
+
+    def test_transformed_script_f_sets_need_few_terms(self):
+        # excess >= 1: the first checkpoints certify, where the direct
+        # series of (4, 14, 2; 23) needs 1025 terms at excess 2/23
+        for key in SCRIPT_F_3F2_REFS:
+            assert hyp3f2_unit(script_f_params(*key), CFG).effort <= 129, key
+
+    def test_basel_and_terminating_stay_direct(self):
+        for p in (Hyp3F2Params(1, 1, 1, 2, 2),
+                  Hyp3F2Params(-3, Fr(1, 2), 1, 2, Fr(3, 2))):
+            assert _thomae_pick(*_integer_params(p)[:4]) is None
+            assert hyp3f2_unit(p, CFG) == _hyp3f2_direct(p, CFG)
 
     def test_bitwise_deterministic(self):
         p = Hyp3F2Params(Fr(7, 13), Fr(4, 13), 1, Fr(12, 13), Fr(17, 13))
