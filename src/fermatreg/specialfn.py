@@ -351,33 +351,37 @@ _EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
               -691 / 1307674368000)
 
 
-def _hurwitz_zeta(s: float, a: float) -> float:
-    """Hurwitz zeta sum_{k>=0} (a+k)^(-s) for s > 1 and a > 0.
+def _hurwitz_zeta(s: float, a: float, scale: float = 1.0) -> float:
+    """``scale^s`` times the Hurwitz zeta sum_{k>=0} (a+k)^(-s), for s > 1
+    and a > 0.
 
     Sums the terms below A = 32 + s directly and closes the rest with the
     Euler-Maclaurin formula A^(1-s)/(s-1) + A^(-s)/2 + sum_j B_2j/(2j)!
     (s)_(2j-1) A^(1-s-2j), whose terms shrink by about
     ((s+2j)/(2 pi A))^2 each; six terms keep the relative error near
     1e-16 for s <= 12 (tested against mpmath), and larger orders only
-    weigh negligible tails.
+    weigh negligible tails.  Every power is taken of ``(a+k)/scale``, so
+    a ``scale`` near ``a`` keeps large orders clear of overflow and
+    underflow.
     """
     a = float(a)
     head = 0.0
     while a < 32.0 + s:
-        t = a ** -s
+        t = (a / scale) ** -s
         head += t
         if t <= 1e-17 * head:
             # terms below A fall by at least exp(-s/(33+s)) per step, so at
             # large s the rest is negligible long before A is reached
             return head
         a += 1.0
-    term = s * a ** (-s - 1.0)
+    lead = (a / scale) ** -s          # scale^s A^(-s)
+    term = s * lead / a
     inv_a2 = 1.0 / (a * a)
     em = 0.0
     for j, c in enumerate(_EM_COEFFS):
         em += c * term
         term *= (s + 2 * j + 1) * (s + 2 * j + 2) * inv_a2
-    return head + a ** (1.0 - s) / (s - 1.0) + 0.5 * a ** -s + em
+    return head + a * lead / (s - 1.0) + 0.5 * lead + em
 
 
 def _tail_nodes(k_top: int) -> list[int]:
@@ -426,14 +430,16 @@ def algebraic_tail_sum(term: Callable[[int], float], k_top: int, s: float,
     if ks[-1] < 1:
         raise DomainError("tail fit needs k_top >= 4")
     K = float(k_top)
-    # scaled variables z = K/k keep the Vandermonde well conditioned
+    # scaled variables z = K/k keep the Vandermonde well conditioned; the
+    # model is fitted to t_k (k/K)^(1+s) and summed with zetas scaled by
+    # K^(1+s), so no power overflows at a large excess
     A = [[(K / k) ** p for p in range(4)] for k in ks]
-    y = [term(k) * float(k) ** (1.0 + s) for k in ks]
+    y = [term(k) * (k / K) ** (1.0 + s) for k in ks]
     unit = [[float(i == j) for j in range(4)] for i in range(4)]
     inv = _gauss_jordan(A, unit)
     coef4 = [sum(map(mul, row, y)) for row in inv]
     coef3 = [c for (c,) in _gauss_jordan([r[:3] for r in A[:3]], [[v] for v in y[:3]])]
-    w = [K ** p * _hurwitz_zeta(1.0 + s + p, k_top + 1) for p in range(4)]
+    w = [_hurwitz_zeta(1.0 + s + p, k_top + 1, K) for p in range(4)]
     tail4 = sum(map(mul, coef4, w))
     tail3 = sum(map(mul, coef3, w))
     # term noise enters the solved coefficients scaled by the inverse row
@@ -465,16 +471,27 @@ def _integer_params(p: Hyp3F2Params) -> tuple[list[int], int, int, int, int]:
     return [a1, a2, a3], b1, b2, s, D
 
 
-def _thomae_pick(ups: list[int], b1: int, b2: int, s: int) -> Optional[int]:
+def _thomae_pick(ups: list[int], b1: int, b2: int, s: int, D: int) -> Optional[int]:
     """Index of the upper parameter the Thomae transform of
     :func:`hyp3f2_unit` uses, or None to sum directly; all arguments are
-    numerators over one common denominator."""
+    numerators over the common denominator D."""
+    def ends(n: int) -> bool:
+        return n <= 0 and n % D == 0
+
+    def tame(n: int) -> bool:
+        # an upper parameter above -1 flips the sign of the terms at most
+        # once; a nonpositive integer ends the series.  Anything else lets
+        # terms alternate while they grow, and their sum cancels
+        return n > -D or ends(n)
+
+    if b1 <= 0 or b2 <= 0 or any(map(ends, ups)):
+        return None  # a terminating series is kept exact
     pick = None
-    if b1 > 0 and b2 > 0:
-        for i, a in enumerate(ups):
-            o1, o2 = ups[:i] + ups[i + 1:]
-            if a > s and s + o1 > 0 and s + o2 > 0 and (pick is None or a > ups[pick]):
-                pick = i
+    for i, a in enumerate(ups):
+        o1, o2 = ups[:i] + ups[i + 1:]
+        if (a > s and s + o1 > 0 and s + o2 > 0 and tame(b1 - a) and tame(b2 - a)
+                and (pick is None or a > ups[pick])):
+            pick = i
     return pick
 
 
@@ -492,12 +509,14 @@ def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
                                     * 3F2(b1-a, b2-a, s; s+o1, s+o2; 1),
 
     a series of excess ``a``.  The largest upper parameter (the first on
-    ties) that exceeds ``s`` and leaves every Gamma argument positive is
-    taken; with none, the series is summed directly.  The choice depends
-    on the parameters alone, so reruns are bit-identical.  Every script-F
-    term qualifies through its upper parameter 1 (its excess is b/N < 1)
-    and is summed at excess at least 1; Basel, 3F2(1,1,1; 2,2; 1), stays
-    direct.
+    ties) is taken that exceeds ``s``, leaves every Gamma argument
+    positive, and leaves ``b1-a`` and ``b2-a`` each above -1 or a
+    nonpositive integer, so that the new terms cannot alternate while they
+    grow; with none, and for a series that ends by itself, the series is
+    summed directly.  The choice depends on the parameters alone, so
+    reruns are bit-identical.  Every script-F term qualifies through its
+    upper parameter 1 (its excess is b/N < 1) and is summed at excess at
+    least 1; Basel, 3F2(1,1,1; 2,2; 1), stays direct.
 
     Summation.  Terms are streamed in ascending order in blocks, each
     summed with ``math.fsum``; the algebraic tail is closed by
@@ -510,12 +529,14 @@ def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     series, the Gamma prefactor's rounding (see :func:`gamma_ratio`)
     scaled onto the value.  Each checkpoint compares this final ``err``
     with ``cfg.tol``.  On a budget failure the result with the smallest
-    ``err`` is attached, with ``effort`` counting every term summed.
+    ``err`` is attached, with ``effort`` counting every term summed.  The
+    failure comes before ``cfg.max_terms`` when the prefactor's rounding
+    alone rules out ``cfg.tol`` and ``err`` has stopped falling.
     """
     if any(a == 0 for a in p.uppers()):
         return EvalResult(1.0, 0.0, 1)
     ups, b1, b2, s, D = _integer_params(p)
-    pick = _thomae_pick(ups, b1, b2, s)
+    pick = _thomae_pick(ups, b1, b2, s, D)
     if pick is None:
         return _sum_series(ups, b1, b2, s, D, cfg)
     a = ups[pick]
@@ -593,10 +614,18 @@ def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
             + 2.0 * _EPS * K * abs(tail) \
             + 4.0 * _EPS * (abs_sum + abs(tail)) + 1e-18
         result = scaled(partial + tail, err, count)
-        if best is None or result.err < best.err:
-            best = result
         if result.err <= cfg.tol:
             return result
+        if best is None or result.err < best.err:
+            best = result
+        # a later err within tol is at least rel times its value, which is
+        # within tol of the true value, itself within err of this one; so
+        # if even that floor passes tol, only a falling err earns more terms
+        elif rel * (abs(result.value) - result.err - cfg.tol) > cfg.tol:
+            raise BudgetExceededError(
+                f"tolerance {cfg.tol:g} lies below the Gamma prefactor's rounding "
+                f"({rel * abs(result.value):.2g}); stopped after {count} terms",
+                EvalResult(best.value, best.err, count))
 
     raise BudgetExceededError(
         f"series tolerance {cfg.tol:g} not reached within {cfg.max_terms} terms",

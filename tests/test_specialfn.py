@@ -329,7 +329,7 @@ class TestHyp3F2:
                     for j in range(1, N + 1):
                         ups, b1, b2, s, D = _integer_params(
                             script_f_params(a, j, b, N))
-                        pick = _thomae_pick(ups, b1, b2, s)
+                        pick = _thomae_pick(ups, b1, b2, s, D)
                         # the new excess is the chosen upper parameter
                         assert pick is not None and ups[pick] >= D, (a, j, b, N)
 
@@ -339,11 +339,44 @@ class TestHyp3F2:
         for key in SCRIPT_F_3F2_REFS:
             assert hyp3f2_unit(script_f_params(*key), CFG).effort <= 129, key
 
-    def test_basel_and_terminating_stay_direct(self):
+    def test_untransformable_sets_stay_direct(self):
+        # Basel has no upper parameter above its excess; the next two end
+        # after a few terms, and the transform of the second through 5 would
+        # not end; the last one's transform through 60 has the upper
+        # parameter 3/2 - 60, so its terms would alternate and reach 1e14
         for p in (Hyp3F2Params(1, 1, 1, 2, 2),
-                  Hyp3F2Params(-3, Fr(1, 2), 1, 2, Fr(3, 2))):
-            assert _thomae_pick(*_integer_params(p)[:4]) is None
+                  Hyp3F2Params(-3, Fr(1, 2), 1, 2, Fr(3, 2)),
+                  Hyp3F2Params(-2, 5, Fr(1, 2), Fr(9, 2), Fr(7, 2)),
+                  Hyp3F2Params(60, Fr(1, 2), Fr(1, 2), Fr(121, 2), Fr(3, 2))):
+            assert _thomae_pick(*_integer_params(p)) is None
             assert hyp3f2_unit(p, CFG) == _hyp3f2_direct(p, CFG)
+
+    def test_non_script_f_sets_honor_err(self):
+        # the first is summed directly at excess 1; the second directly at
+        # excess 197 and the third at excess 180 after the transform
+        # through 180, where k^(1+s) at the first checkpoint exceeds the
+        # float range.  References: mpmath 1.3.0 at 40 and 60 digits (the
+        # last two summed term by term)
+        for p, ref in (
+                (Hyp3F2Params(60, Fr(1, 2), Fr(1, 2), Fr(121, 2), Fr(3, 2)),
+                 "1.50390938137695886112254140250"),
+                (Hyp3F2Params(1, 1, 1, 100, 100), "1.00010003924581353041983411532"),
+                (Hyp3F2Params(180, Fr(3, 4), Fr(3, 4), Fr(361, 2), Fr(361, 2)),
+                 "1.00313422458783462119495220536")):
+            r = hyp3f2_unit(p, CFG)
+            assert r.err <= CFG.tol
+            assert abs(Fr(r.value) - Fr(ref)) <= Fr(r.err)
+
+    def test_tol_below_prefactor_rounding_stops_early(self):
+        # the prefactor's rounding alone is ~1e-13 here, so no checkpoint
+        # can reach 1e-14: the series stops once its err stops falling
+        p = Hyp3F2Params(Fr(3, 13), Fr(1, 13), 1, Fr(4, 13), Fr(14, 13))
+        with pytest.raises(BudgetExceededError) as ei:
+            hyp3f2_unit(p, EvalConfig(tol=1e-14))
+        best = ei.value.result
+        assert best.effort < 500_001
+        assert best.err <= 2e-13
+        assert abs(Fr(best.value) - Fr("1.766233869657059933008")) <= Fr(best.err)
 
     def test_bitwise_deterministic(self):
         p = Hyp3F2Params(Fr(7, 13), Fr(4, 13), 1, Fr(12, 13), Fr(17, 13))
