@@ -14,8 +14,6 @@ is bitwise deterministic for identical flags.  Exit codes: 0 success,
 domain error.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -40,9 +38,13 @@ def _cfg_from_args(args) -> EvalConfig:
         if flag_value is not None:
             return cast(flag_value)
         env = os.environ.get(_ENV_PREFIX + env_name)
-        if env is not None:
+        if env is None:
+            return default
+        try:
             return cast(env)
-        return default
+        except ValueError:
+            raise DomainError(f"{_ENV_PREFIX}{env_name}={env!r} is not a valid "
+                              f"{cast.__name__}") from None
 
     return EvalConfig(
         tol=pick(args.tol, "TOL", float, 1e-8),

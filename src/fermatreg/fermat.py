@@ -8,10 +8,8 @@ multiplies regulator pairings, and the Hodge-class test for wedge squares of
 holomorphic forms on prime-degree curves.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .specialfn import DomainError, beta
 
@@ -74,44 +72,38 @@ def genus(N: int) -> int:
     return (N - 1) * (N - 2) // 2
 
 
-@dataclass(frozen=True)
-class FormIndex:
+class FormIndex(namedtuple("FormIndex", "N a b")):
     """An eigenform label (a, b) mod N, stored reduced to {1, ..., N-1}.
 
     Construction reduces the entries and rejects pairs outside the index set
     (a, b or a+b divisible by N).
     """
 
-    N: int
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.N < 3:
+    def __new__(cls, N: int, a: int, b: int):
+        if N < 3:
             raise DomainError("modulus must be at least 3")
-        if not is_in_IN(self.a, self.b, self.N):
-            raise DomainError(
-                f"({self.a}, {self.b}) is not an eigenform index mod {self.N}")
-        object.__setattr__(self, "a", bracket(self.a, self.N))
-        object.__setattr__(self, "b", bracket(self.b, self.N))
+        if not is_in_IN(a, b, N):
+            raise DomainError(f"({a}, {b}) is not an eigenform index mod {N}")
+        return super().__new__(cls, N, bracket(a, N), bracket(b, N))
 
     @property
     def holomorphic(self) -> bool:
         return self.a + self.b < self.N
 
 
-@dataclass(frozen=True)
-class WedgeIndex:
+class WedgeIndex(namedtuple("WedgeIndex", "first second")):
     """An ordered pair of holomorphic form indices on the same curve."""
 
-    first: FormIndex
-    second: FormIndex
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.first.N != self.second.N:
+    def __new__(cls, first: FormIndex, second: FormIndex):
+        if first.N != second.N:
             raise DomainError("wedge factors must share the modulus")
-        if not (self.first.holomorphic and self.second.holomorphic):
+        if not (first.holomorphic and second.holomorphic):
             raise DomainError("wedge factors must be holomorphic")
+        return super().__new__(cls, first, second)
 
     @property
     def N(self) -> int:

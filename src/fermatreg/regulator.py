@@ -19,11 +19,9 @@ defining log-kernel integrals, projector-averaged integrals, and a regrouped
 series) so agreement can be checked instance by instance.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
 from .fermat import FormIndex, bracket, is_in_IN, is_prime, mu_half, period, is_hodge, WedgeIndex
@@ -61,30 +59,23 @@ _EPS = math.ulp(1.0)
 PROVENANCES = ("closed-form", "oracle-quadrature", "oracle-series")
 
 
-@dataclass(frozen=True)
-class RegulatorValue:
+class RegulatorValue(namedtuple("RegulatorValue", "value err provenance effort")):
     """A pairing value with error bound, provenance tag and work counter."""
 
-    value: float
-    err: float
-    provenance: str
-    effort: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise DomainError(f"unknown provenance {self.provenance!r}")
-        if not (self.err >= 0.0):
+    def __new__(cls, value: float, err: float, provenance: str, effort: int = 0):
+        if provenance not in PROVENANCES:
+            raise DomainError(f"unknown provenance {provenance!r}")
+        if not (err >= 0.0):
             raise DomainError("error bound must be nonnegative")
+        return super().__new__(cls, value, err, provenance, effort)
 
 
-@dataclass(frozen=True)
-class FIndecResult:
+class FIndecResult(namedtuple("FIndecResult", "value err effort hodge")):
     """An f(i, N) table entry: value, error bound, work, and Hodge flag."""
 
-    value: float
-    err: float
-    effort: int
-    hodge: bool
+    __slots__ = ()
 
 
 def _require_index(a: int, b: int, N: int) -> None:
@@ -137,7 +128,7 @@ def log_integral(a: int, b: int, N: int, variable: str = "x",
         aa, bb = bracket(b, N), bracket(a, N)
     else:
         raise DomainError("variable must be 'x' or 'y'")
-    inner = replace(cfg, tol=cfg.tol / 4.0)
+    inner = EvalConfig(cfg.tol / 4.0, cfg.max_terms)
     total = 0.0
     err = 0.0
     effort = 0
@@ -163,7 +154,7 @@ def reg_holomorphic(a: int, b: int, N: int,
     a_r, b_r = bracket(a, N), bracket(b, N)
     if not a_r + b_r < N:
         raise DomainError("pairing defined for holomorphic pairs")
-    inner = replace(cfg, tol=cfg.tol / 4.0)
+    inner = EvalConfig(cfg.tol / 4.0, cfg.max_terms)
     total = 0.0
     err = 0.0
     effort = 0
@@ -200,7 +191,7 @@ def im_reg_mixed(a: int, b: int, c: int, d: int, N: int,
         _require_index(p, q, N)
         if not p + q < N:
             raise DomainError("mixed pairing defined for holomorphic pairs")
-    inner = replace(cfg, tol=cfg.tol / 4.0)
+    inner = EvalConfig(cfg.tol / 4.0, cfg.max_terms)
     total = complex(0.0, 0.0)
     err = 0.0
     effort = 0
@@ -240,7 +231,7 @@ def f_indec(i: int, N: int, cfg: EvalConfig = EvalConfig()) -> FIndecResult:
     # (two script-F terms at tol/4, each prefactor below 1), and
     # |mu_half(1, b, N)| < pi N, so after dividing by 2 N^2 the err stays
     # below (pi/4) cfg.tol when the pairing is asked for N * cfg.tol / 2
-    rv = im_reg_mixed(1, i, 1, 2 * i, N, replace(cfg, tol=N * cfg.tol / 2.0))
+    rv = im_reg_mixed(1, i, 1, 2 * i, N, EvalConfig(N * cfg.tol / 2.0, cfg.max_terms))
     scale = 2.0 * N * N
     w = WedgeIndex(FormIndex(N, 1, i), FormIndex(N, 1, 2 * i))
     return FIndecResult(rv.value / scale, rv.err / scale + _EPS, rv.effort,
@@ -358,7 +349,7 @@ def oracle_projector_integral(a: int, b: int, c: int, d: int, N: int,
         raise DomainError("variable must be 'x' or 'y'")
 
     norm = N * N * period(FormIndex(N, a, b))
-    inner = replace(cfg, tol=max(cfg.tol * abs(norm) / (8.0 * N), 1e-14))
+    inner = EvalConfig(max(cfg.tol * abs(norm) / (8.0 * N), 1e-14), cfg.max_terms)
     e1 = w1 / N - 1.0
     e2 = w2 / N - 1.0
     kernel_values = []
@@ -397,7 +388,7 @@ def oracle_projector_pairing(a: int, b: int, c: int, d: int, N: int,
     """
     a, b, c, d = _validated_wedge_input(a, b, c, d, N)
     norm = N * N * period(FormIndex(N, a, b))
-    inner = replace(cfg, tol=max(cfg.tol * abs(norm) / (8.0 * N), 1e-14))
+    inner = EvalConfig(max(cfg.tol * abs(norm) / (8.0 * N), 1e-14), cfg.max_terms)
     e1 = a / N - 1.0
     e2 = b / N - 1.0
 

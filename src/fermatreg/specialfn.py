@@ -9,17 +9,17 @@ script-F term), then sums the series in a plain Python loop and closes the
 algebraic tail with a fitted Hurwitz-zeta model (the accelerated series).
 Parameters are carried as exact rationals; floats appear only inside kernels.
 The module needs nothing beyond the standard library.  All operations are
-pure, stateless and thread-safe, and summation order is fixed (ascending k)
-so results are bitwise reproducible.
+pure, stateless and thread-safe.  Summation order is fixed (ascending k) and
+every float sum of a list is a correctly rounded ``math.fsum``, never the
+built-in ``sum``, whose rounding changed in Python 3.12; so results are
+bitwise reproducible, across Python versions too.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Optional, Sequence, Union
 
 __all__ = [
     "DomainError",
@@ -41,9 +41,6 @@ __all__ = [
 ]
 
 _EPS = math.ulp(1.0)
-
-Rational = Union[int, Fraction, str]
-Number = Union[float, complex]
 
 
 class DomainError(ValueError):
@@ -69,8 +66,7 @@ class NonFiniteSampleError(ArithmeticError):
     """An integrand returned NaN or infinity at an interior node."""
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(namedtuple("EvalResult", "value err effort")):
     """A numeric value with a certified absolute error bound.
 
     ``err`` is an upper bound on ``|value - true value|`` under the evaluation
@@ -78,31 +74,29 @@ class EvalResult:
     quadrature nodes evaluated.
     """
 
-    value: Number
-    err: float
-    effort: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.err >= 0.0):
+    def __new__(cls, value: float | complex, err: float, effort: int):
+        if not (err >= 0.0):
             raise DomainError("error bound must be nonnegative")
+        return super().__new__(cls, value, err, effort)
 
 
-@dataclass(frozen=True)
-class EvalConfig:
+class EvalConfig(namedtuple("EvalConfig", "tol max_terms")):
     """Evaluation knobs: tolerance and series term budget."""
 
-    tol: float = 1e-8
-    max_terms: int = 500_000
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.tol > 0.0):
+    def __new__(cls, tol: float = 1e-8, max_terms: int = 500_000):
+        if not (tol > 0.0):
             raise DomainError("tol must be positive")
-        if self.max_terms < 4:
+        if max_terms < 4:
             # the algebraic tail fit samples four distinct terms k >= 1
             raise DomainError("max_terms must be at least 4")
+        return super().__new__(cls, tol, max_terms)
 
 
-def _as_fraction(x: Rational) -> Fraction:
+def _as_fraction(x: int | Fraction | str | float) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -120,29 +114,25 @@ def _is_nonpositive_integer(q: Fraction) -> bool:
     return q.denominator == 1 and q.numerator <= 0
 
 
-@dataclass(frozen=True)
-class Hyp3F2Params:
+class Hyp3F2Params(namedtuple("Hyp3F2Params", "a1 a2 a3 b1 b2")):
     """Exact-rational parameters (a1,a2,a3;b1,b2) of a 3F2 series at z=1.
 
-    Lower parameters must avoid zero and the negative integers (series poles).
-    Convergence at unit argument additionally requires positive excess
-    ``b1+b2-a1-a2-a3``; that is checked by :func:`hyp3f2_unit`, not here, so
-    divergent parameter sets remain representable.
+    Each parameter may be given as an int, a Fraction or a string such as
+    ``"3/13"``, and is stored as a Fraction.  Lower parameters must avoid
+    zero and the negative integers (series poles).  Convergence at unit
+    argument additionally requires positive excess ``b1+b2-a1-a2-a3``; that
+    is checked by :func:`hyp3f2_unit`, not here, so divergent parameter sets
+    remain representable.
     """
 
-    a1: Fraction
-    a2: Fraction
-    a3: Fraction
-    b1: Fraction
-    b2: Fraction
+    __slots__ = ()
 
-    def __init__(self, a1: Rational, a2: Rational, a3: Rational,
-                 b1: Rational, b2: Rational):
-        for name, v in (("a1", a1), ("a2", a2), ("a3", a3), ("b1", b1), ("b2", b2)):
-            object.__setattr__(self, name, _as_fraction(v))
+    def __new__(cls, a1, a2, a3, b1, b2):
+        self = super().__new__(cls, *map(_as_fraction, (a1, a2, a3, b1, b2)))
         for name in ("b1", "b2"):
             if _is_nonpositive_integer(getattr(self, name)):
                 raise DomainError(f"{name} must not be zero or a negative integer")
+        return self
 
     @property
     def excess(self) -> Fraction:
@@ -437,15 +427,15 @@ def algebraic_tail_sum(term: Callable[[int], float], k_top: int, s: float,
     y = [term(k) * (k / K) ** (1.0 + s) for k in ks]
     unit = [[float(i == j) for j in range(4)] for i in range(4)]
     inv = _gauss_jordan(A, unit)
-    coef4 = [sum(map(mul, row, y)) for row in inv]
+    coef4 = [math.fsum(map(mul, row, y)) for row in inv]
     coef3 = [c for (c,) in _gauss_jordan([r[:3] for r in A[:3]], [[v] for v in y[:3]])]
     w = [_hurwitz_zeta(1.0 + s + p, k_top + 1, K) for p in range(4)]
-    tail4 = sum(map(mul, coef4, w))
-    tail3 = sum(map(mul, coef3, w))
+    tail4 = math.fsum(map(mul, coef4, w))
+    tail3 = math.fsum(map(mul, coef3, w))
     # term noise enters the solved coefficients scaled by the inverse row
     # sums and lands on the tail through the (positive) zeta weights
-    amp = max(sum(map(abs, row)) for row in inv)
-    noise = amp * rel_noise * max(map(abs, y)) * sum(w)
+    amp = max(math.fsum(map(abs, row)) for row in inv)
+    noise = amp * rel_noise * max(map(abs, y)) * math.fsum(w)
     return tail4, 2.0 * abs(tail4 - tail3) + noise
 
 
@@ -471,7 +461,7 @@ def _integer_params(p: Hyp3F2Params) -> tuple[list[int], int, int, int, int]:
     return [a1, a2, a3], b1, b2, s, D
 
 
-def _thomae_pick(ups: list[int], b1: int, b2: int, s: int, D: int) -> Optional[int]:
+def _thomae_pick(ups: list[int], b1: int, b2: int, s: int, D: int) -> int | None:
     """Index of the upper parameter the Thomae transform of
     :func:`hyp3f2_unit` uses, or None to sum directly; all arguments are
     numerators over the common denominator D."""
@@ -587,7 +577,7 @@ def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
     t = 1.0       # term at k = 0
     count = 1     # terms summed so far (k = 0 included)
 
-    best: Optional[EvalResult] = None
+    best: EvalResult | None = None
     for K in checkpoints:
         wanted.update(_tail_nodes(K))
         while count <= K:
@@ -602,8 +592,8 @@ def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
                 if count <= k < count + n:
                     nodes[k] = block[k - count]
             block_sums.append(math.fsum(block))
-            abs_sum += sum(map(abs, block))
-            drift += sum(map(mul, map(abs, block), range(count, count + n)))
+            abs_sum += math.fsum(map(abs, block))
+            drift += math.fsum(map(mul, map(abs, block), range(count, count + n)))
             count += n
         partial = 1.0 + math.fsum(block_sums)
         if K == last:

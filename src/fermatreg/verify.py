@@ -5,11 +5,9 @@ the threshold it was held to, so the CLI can print one line per property.
 The random draws are seeded, making every suite deterministic.
 """
 
-from __future__ import annotations
-
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import fermat, regulator, specialfn
@@ -18,12 +16,10 @@ from .specialfn import EvalConfig, Hyp3F2Params
 __all__ = ["CheckResult", "run_suite", "SUITES"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    discrepancy: float
-    threshold: float
+class CheckResult(namedtuple("CheckResult", "name passed discrepancy threshold")):
+    """One property's outcome: the measured discrepancy against its threshold."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"

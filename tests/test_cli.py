@@ -220,6 +220,30 @@ class TestDeterminismAndCache:
                         "--b1", "2", "--b2", "2")
         assert flag.stdout == plain.stdout
 
+    def test_malformed_env_values_exit_2(self):
+        import os
+
+        for name, value, args in (
+                ("FERMATREG_TOL", "abc",
+                 ("hyp3f2", "--a1", "1", "--a2", "1", "--a3", "1",
+                  "--b1", "2", "--b2", "2")),
+                ("FERMATREG_MAX_TERMS", "10.5", ("verify",))):
+            p = run_cli(*args, env={**os.environ, name: value})
+            assert p.returncode == 2, (name, p.stderr)
+            assert p.stderr.startswith(b"error: ")
+            assert name.encode() in p.stderr
+            assert b"Traceback" not in p.stderr
+            assert p.stdout == b""
+
+
+def imported_modules(*args):
+    """Names of the modules a fresh interpreter run with ``args`` imports."""
+    p = subprocess.run([sys.executable, "-X", "importtime", *args],
+                       capture_output=True, text=True, timeout=60)
+    assert p.returncode == 0, p.stderr
+    return {line.rsplit("|", 1)[-1].strip() for line in p.stderr.splitlines()
+            if line.startswith("import time:")}
+
 
 class TestColdStart:
     def test_cli_import_leaves_out_numpy_and_verify(self):
@@ -231,3 +255,16 @@ class TestColdStart:
                            text=True, timeout=60)
         assert p.returncode == 0, p.stderr
         assert p.stdout.strip() == "[]"
+
+    def test_cli_processes_leave_out_dataclasses_and_inspect(self):
+        # modules the interpreter loads anyway (`site` may already bring in
+        # `typing`) are not the package's cost; `dataclasses` would pull in
+        # `inspect`, `ast` and `dis`
+        floor = imported_modules("-c", "pass")
+        for args in (("hyp3f2", "--a1", "1", "--a2", "1", "--a3", "1",
+                      "--b1", "2", "--b2", "2"),
+                     ("f-table", "--N", "13")):
+            extra = imported_modules("-m", "fermatreg", *args) - floor
+            assert "fermatreg.specialfn" in extra
+            unwanted = {"dataclasses", "inspect", "ast", "dis", "fermatreg.verify"}
+            assert not extra & unwanted, (args, sorted(extra & unwanted))

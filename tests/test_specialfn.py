@@ -308,11 +308,13 @@ class TestHyp3F2:
 
     def test_budget_failure_memory_stays_flat(self):
         # the series keeps only the tail-fit terms and the sums of its
-        # blocks; keeping all 500 001 terms would take about 9 MB
+        # blocks; keeping all 65 537 terms would take about 2.1 MB.
+        # tracemalloc slows every float the loop makes, so the budget is
+        # the smallest that the bound still tells apart from keeping them
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError):
-                hyp3f2_unit(SLOW_3F2, EvalConfig(tol=1e-13))
+                hyp3f2_unit(SLOW_3F2, EvalConfig(tol=1e-13, max_terms=65_536))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
