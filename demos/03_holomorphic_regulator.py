@@ -24,7 +24,7 @@ cfg = EvalConfig()
 a, b, N = 1, 2, 5
 
 r = reg_holomorphic(a, b, N, cfg)
-print(f"reg({a},{b}) mod {N} = {r.value:.15f}  err {r.err:.1e}  [{r.provenance}]")
+print(f"reg({a},{b}) mod {N} = {r.value:.15f}  err {r.err:.1e}")
 
 # oracle 1: quadrature of log[(1 - t^(1/N)) / (1 - (1-t)^(1/N))] with the
 # period weight; the two-argument integrand protocol keeps full precision

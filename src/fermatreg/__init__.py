@@ -49,7 +49,6 @@ from .fermat import (
 )
 from .regulator import (
     FIndecResult,
-    RegulatorValue,
     f_indec,
     im_reg_mixed,
     log_integral,
@@ -71,7 +70,7 @@ __all__ = [
     "FormIndex", "UnsupportedModulusError", "WedgeIndex", "bracket", "genus",
     "is_hodge", "is_in_IN", "is_prime", "mu", "mu_half", "period",
     # regulator
-    "FIndecResult", "RegulatorValue", "f_indec", "im_reg_mixed",
-    "log_integral", "oracle_projector_integral", "oracle_projector_pairing",
+    "FIndecResult", "f_indec", "im_reg_mixed", "log_integral",
+    "oracle_projector_integral", "oracle_projector_pairing",
     "oracle_series_sum", "reg_holomorphic", "script_F",
 ]

@@ -31,6 +31,7 @@ from .specialfn import (
 
 _ENV_PREFIX = "FERMATREG_"
 _HYP3F2_PROVENANCE = "accelerated-series"
+_PAIRING_PROVENANCE = "closed-form"
 
 
 def _cfg_from_args(args) -> EvalConfig:
@@ -95,7 +96,7 @@ def _cmd_reg(args) -> int:
     if args.kind == "holo":
         rv = regulator.reg_holomorphic(args.N_a, args.N_b, args.N, cfg)
         inputs = {"N": args.N, "a": args.N_a, "b": args.N_b}
-        print(_record(inputs, rv.value, rv.err, rv.provenance, rv.effort))
+        print(_record(inputs, rv.value, rv.err, _PAIRING_PROVENANCE, rv.effort))
         return 0
     if args.N_c is None or args.N_d is None:
         raise DomainError("reg mixed requires --c and --d")
@@ -106,7 +107,7 @@ def _cmd_reg(args) -> int:
         w = fermat.WedgeIndex(fermat.FormIndex(args.N, args.N_a, args.N_b),
                               fermat.FormIndex(args.N, args.N_c, args.N_d))
         hodge = fermat.is_hodge(w)
-    print(_record(inputs, rv.value, rv.err, rv.provenance, rv.effort, hodge=hodge))
+    print(_record(inputs, rv.value, rv.err, _PAIRING_PROVENANCE, rv.effort, hodge=hodge))
     return 0
 
 
@@ -150,15 +151,14 @@ def _cmd_f_table(args) -> int:
                 lines.append(json.dumps({"inputs": {"i": i, "N": N},
                                          "error": str(exc)}))
             else:
-                lines.append(f"{i},{N},,,{exc!s}".replace("\n", " "))
+                # one quoted field, so a comma in the message stays in it
+                msg = str(exc).replace("\n", " ").replace('"', '""')
+                lines.append(f'{i},{N},,,"{msg}"')
             continue
         wrote += 1
         if args.format == "json":
-            rec = {"inputs": {"i": i, "N": N},
-                   "value": float(fmt(res.value)) if not args.full else res.value,
-                   "err": res.err, "provenance": "closed-form",
-                   "effort": res.effort, "hodge": res.hodge}
-            lines.append(json.dumps(rec))
+            lines.append(_record({"i": i, "N": N}, float(fmt(res.value)), res.err,
+                                 _PAIRING_PROVENANCE, res.effort, hodge=res.hodge))
         else:
             lines.append(f"{i},{N},{fmt(res.value)},{res.err:.3e},"
                          f"{str(res.hodge).lower()}")

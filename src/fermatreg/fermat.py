@@ -11,7 +11,7 @@ holomorphic forms on prime-degree curves.
 import math
 from collections import namedtuple
 
-from .specialfn import DomainError, beta
+from .specialfn import DomainError, _validated_make, beta
 
 __all__ = [
     "UnsupportedModulusError",
@@ -80,6 +80,7 @@ class FormIndex(namedtuple("FormIndex", "N a b")):
     """
 
     __slots__ = ()
+    _make = _validated_make
 
     def __new__(cls, N: int, a: int, b: int):
         if N < 3:
@@ -97,6 +98,7 @@ class WedgeIndex(namedtuple("WedgeIndex", "first second")):
     """An ordered pair of holomorphic form indices on the same curve."""
 
     __slots__ = ()
+    _make = _validated_make
 
     def __new__(cls, first: FormIndex, second: FormIndex):
         if first.N != second.N:

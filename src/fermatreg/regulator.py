@@ -41,9 +41,7 @@ from .specialfn import (
 )
 
 __all__ = [
-    "RegulatorValue",
     "FIndecResult",
-    "PROVENANCES",
     "script_F",
     "log_integral",
     "reg_holomorphic",
@@ -56,21 +54,6 @@ __all__ = [
 
 _EPS = math.ulp(1.0)
 
-PROVENANCES = ("closed-form", "oracle-quadrature", "oracle-series")
-
-
-class RegulatorValue(namedtuple("RegulatorValue", "value err provenance effort")):
-    """A pairing value with error bound, provenance tag and work counter."""
-
-    __slots__ = ()
-
-    def __new__(cls, value: float, err: float, provenance: str, effort: int = 0):
-        if provenance not in PROVENANCES:
-            raise DomainError(f"unknown provenance {provenance!r}")
-        if not (err >= 0.0):
-            raise DomainError("error bound must be nonnegative")
-        return super().__new__(cls, value, err, provenance, effort)
-
 
 class FIndecResult(namedtuple("FIndecResult", "value err effort hodge")):
     """An f(i, N) table entry: value, error bound, work, and Hodge flag."""
@@ -81,6 +64,15 @@ class FIndecResult(namedtuple("FIndecResult", "value err effort hodge")):
 def _require_index(a: int, b: int, N: int) -> None:
     if not is_in_IN(a, b, N):
         raise DomainError(f"({a}, {b}) is not an eigenform index mod {N}")
+
+
+def _holomorphic(a: int, b: int, N: int) -> tuple[int, int]:
+    """The holomorphic label (a, b) reduced into {1, ..., N-1}, or DomainError."""
+    _require_index(a, b, N)
+    a_r, b_r = bracket(a, N), bracket(b, N)
+    if not a_r + b_r < N:
+        raise DomainError(f"({a}, {b}) is not a holomorphic label mod {N}")
+    return a_r, b_r
 
 
 def script_F(a: int, j: int, b: int, N: int,
@@ -99,7 +91,11 @@ def script_F(a: int, j: int, b: int, N: int,
     params = Hyp3F2Params(
         Fraction(a_r + j, N), Fraction(j, N), 1,
         Fraction(a_r + b_r + j, N), Fraction(j, N) + 1)
-    hyp = hyp3f2_unit(params, cfg)
+    try:
+        hyp = hyp3f2_unit(params, cfg)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(
+            f"script-F term ({a_r}, {j}, {b_r}; {N}): {exc}", exc.result) from None
     # B((a+j)/N, b/N) / B(a/N, b/N), with the common Gamma(b/N) cancelled;
     # the division by j and the product below round once each
     ratio, rel = gamma_ratio(((a_r + j) / N, (a_r + b_r) / N),
@@ -119,14 +115,10 @@ def log_integral(a: int, b: int, N: int, variable: str = "x",
     the roles of a and b exchanged for "y".  Always negative: it integrates
     log of a quantity below 1 against a positive weight.
     """
-    _require_index(a, b, N)
-    if not bracket(a, N) + bracket(b, N) < N:
-        raise DomainError("log integral defined for holomorphic pairs")
-    if variable == "x":
-        aa, bb = bracket(a, N), bracket(b, N)
-    elif variable == "y":
-        aa, bb = bracket(b, N), bracket(a, N)
-    else:
+    aa, bb = _holomorphic(a, b, N)
+    if variable == "y":
+        aa, bb = bb, aa
+    elif variable != "x":
         raise DomainError("variable must be 'x' or 'y'")
     inner = EvalConfig(cfg.tol / 4.0, cfg.max_terms)
     total = 0.0
@@ -143,17 +135,14 @@ def log_integral(a: int, b: int, N: int, variable: str = "x",
 
 
 def reg_holomorphic(a: int, b: int, N: int,
-                    cfg: EvalConfig = EvalConfig()) -> RegulatorValue:
+                    cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Pairing of the canonical cycle with a normalized holomorphic form.
 
     Closed form 2 * sum_{j=1}^{N} (F(b,j,a) - F(a,j,b)).  Antisymmetric under
     swapping a and b (exactly, term by term, in floating point) and zero on
     the diagonal.  The certified err stays at or below 2*N*cfg.tol.
     """
-    _require_index(a, b, N)
-    a_r, b_r = bracket(a, N), bracket(b, N)
-    if not a_r + b_r < N:
-        raise DomainError("pairing defined for holomorphic pairs")
+    a_r, b_r = _holomorphic(a, b, N)
     inner = EvalConfig(cfg.tol / 4.0, cfg.max_terms)
     total = 0.0
     err = 0.0
@@ -165,12 +154,11 @@ def reg_holomorphic(a: int, b: int, N: int,
         err += fb.err + fa.err
         effort += fb.effort + fa.effort
     value = 2.0 * total
-    return RegulatorValue(value, 2.0 * err + 8.0 * _EPS * (1.0 + abs(value)),
-                          "closed-form", effort)
+    return EvalResult(value, 2.0 * err + 8.0 * _EPS * (1.0 + abs(value)), effort)
 
 
 def im_reg_mixed(a: int, b: int, c: int, d: int, N: int,
-                 cfg: EvalConfig = EvalConfig()) -> RegulatorValue:
+                 cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Imaginary part of the pairing against the wedge of two eigenforms.
 
     Evaluates the four-term closed form
@@ -186,11 +174,8 @@ def im_reg_mixed(a: int, b: int, c: int, d: int, N: int,
     normalization).  Both index pairs must be holomorphic.  Exactly
     antisymmetric under swapping the pairs and exactly zero on the diagonal.
     """
-    a, b, c, d = (bracket(v, N) for v in (a, b, c, d))
-    for (p, q) in ((a, b), (c, d)):
-        _require_index(p, q, N)
-        if not p + q < N:
-            raise DomainError("mixed pairing defined for holomorphic pairs")
+    a, b = _holomorphic(a, b, N)
+    c, d = _holomorphic(c, d, N)
     inner = EvalConfig(cfg.tol / 4.0, cfg.max_terms)
     total = complex(0.0, 0.0)
     err = 0.0
@@ -214,7 +199,7 @@ def im_reg_mixed(a: int, b: int, c: int, d: int, N: int,
             + 32.0 * _EPS * (abs(m_cd) * abs(f3.value) + abs(m_ab) * abs(f4.value))
         effort += f3.effort + f4.effort
     value = (2.0 * total).imag
-    return RegulatorValue(value, 2.0 * err, "closed-form", effort)
+    return EvalResult(value, 2.0 * err, effort)
 
 
 def f_indec(i: int, N: int, cfg: EvalConfig = EvalConfig()) -> FIndecResult:
@@ -313,15 +298,6 @@ def _projector_accumulate(kernel_values, kernel_err, a, b, c, d, N, indexed_by,
     return value, err
 
 
-def _validated_wedge_input(a, b, c, d, N):
-    a, b, c, d = (bracket(v, N) for v in (a, b, c, d))
-    for (p, q) in ((a, b), (c, d)):
-        _require_index(p, q, N)
-        if not p + q < N:
-            raise DomainError("projector oracles defined for holomorphic pairs")
-    return a, b, c, d
-
-
 def oracle_projector_integral(a: int, b: int, c: int, d: int, N: int,
                               variable: str = "x",
                               cfg: EvalConfig = EvalConfig()) -> EvalResult:
@@ -340,7 +316,8 @@ def oracle_projector_integral(a: int, b: int, c: int, d: int, N: int,
     up to the certified error bounds, which is what makes it an independent
     check on them.  Returns a complex-valued result.
     """
-    a, b, c, d = _validated_wedge_input(a, b, c, d, N)
+    a, b = _holomorphic(a, b, N)
+    c, d = _holomorphic(c, d, N)
     if variable == "x":
         w1, w2, indexed_by = a, b, "r"
     elif variable == "y":
@@ -386,7 +363,8 @@ def oracle_projector_pairing(a: int, b: int, c: int, d: int, N: int,
     :func:`oracle_projector_integral`; the result is 1 when (c, d) = (a, b)
     and 0 otherwise, which calibrates the projector normalization.
     """
-    a, b, c, d = _validated_wedge_input(a, b, c, d, N)
+    a, b = _holomorphic(a, b, N)
+    c, d = _holomorphic(c, d, N)
     norm = N * N * period(FormIndex(N, a, b))
     inner = EvalConfig(max(cfg.tol * abs(norm) / (8.0 * N), 1e-14), cfg.max_terms)
     e1 = a / N - 1.0

@@ -66,6 +66,11 @@ class NonFiniteSampleError(ArithmeticError):
     """An integrand returned NaN or infinity at an interior node."""
 
 
+# namedtuple's own `_make`, which `_replace` and `copy.replace` call, builds
+# the tuple without `__new__`; the validating types construct through it
+_validated_make = classmethod(lambda cls, fields: cls(*fields))
+
+
 class EvalResult(namedtuple("EvalResult", "value err effort")):
     """A numeric value with a certified absolute error bound.
 
@@ -75,6 +80,7 @@ class EvalResult(namedtuple("EvalResult", "value err effort")):
     """
 
     __slots__ = ()
+    _make = _validated_make
 
     def __new__(cls, value: float | complex, err: float, effort: int):
         if not (err >= 0.0):
@@ -86,6 +92,7 @@ class EvalConfig(namedtuple("EvalConfig", "tol max_terms")):
     """Evaluation knobs: tolerance and series term budget."""
 
     __slots__ = ()
+    _make = _validated_make
 
     def __new__(cls, tol: float = 1e-8, max_terms: int = 500_000):
         if not (tol > 0.0):
@@ -126,6 +133,7 @@ class Hyp3F2Params(namedtuple("Hyp3F2Params", "a1 a2 a3 b1 b2")):
     """
 
     __slots__ = ()
+    _make = _validated_make
 
     def __new__(cls, a1, a2, a3, b1, b2):
         self = super().__new__(cls, *map(_as_fraction, (a1, a2, a3, b1, b2)))

@@ -1,9 +1,15 @@
 """Command-line interface: records, exit codes, determinism."""
 
+import csv
+import glob
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from fermatreg.regulator import f_indec
 from fermatreg.specialfn import EvalConfig
@@ -81,6 +87,7 @@ class TestRegCommand:
         p = run_cli("reg", "holo", "--N", "5", "--a", "1", "--b", "2")
         (rec,) = records(p.stdout)
         assert abs(rec["value"] - 6.298611257238236) <= 1e-8
+        assert list(rec) == ["inputs", "value", "err", "provenance", "effort"]
         assert rec["provenance"] == "closed-form"
 
     def test_mixed_with_hodge_flag(self):
@@ -124,6 +131,8 @@ class TestFTableCommand:
         p = run_cli("f-table", "--N", "17")
         recs = records(p.stdout)
         assert [r["inputs"]["i"] for r in recs] == [2, 3, 4]
+        assert all(list(r) == ["inputs", "value", "err", "provenance", "effort", "hodge"]
+                   and r["provenance"] == "closed-form" for r in recs)
         assert recs[0]["value"] == 0.059197
         assert all(r["hodge"] is False for r in recs)
 
@@ -151,6 +160,27 @@ class TestFTableCommand:
     def test_non_prime_exits_2(self):
         p = run_cli("f-table", "--N", "15")
         assert p.returncode == 2
+
+    def test_csv_error_row_has_five_fields(self):
+        p = run_cli("f-table", "--N", "13", "--i", "2,6", "--format", "csv")
+        assert p.returncode == 0
+        rows = list(csv.reader(p.stdout.decode().splitlines()))
+        assert [len(r) for r in rows] == [5, 5, 5]
+        assert rows[2] == ["6", "13", "", "", "(1, 12) is not an eigenform index mod 13"]
+
+    def test_budget_failure_names_the_script_f_term(self):
+        args = ("f-table", "--N", "13", "--i", "2", "--tol", "1e-13",
+                "--max-terms", "100")
+        p = run_cli(*args)
+        assert p.returncode == 1
+        (rec,) = records(p.stdout)
+        assert "script-F term (4, 11, 1; 13)" in rec["error"]
+        assert "not reached" in rec["error"]
+        p = run_cli(*args, "--format", "csv")
+        assert p.returncode == 1
+        rows = list(csv.reader(p.stdout.decode().splitlines()))
+        assert [len(r) for r in rows] == [5, 5]
+        assert rows[1][4] == rec["error"]
 
     def test_large_modulus_rows_certified(self):
         p = run_cli("f-table", "--N", "29")
@@ -220,6 +250,22 @@ class TestDeterminismAndCache:
                         "--b1", "2", "--b2", "2")
         assert flag.stdout == plain.stdout
 
+    def test_table_bits_equal_across_python_versions(self):
+        versions = python_versions()
+        if len(versions) < 2:
+            pytest.skip("fewer than two Python versions >= 3.10 found")
+        args = ("-m", "fermatreg", "f-table", "--N", "13,17,19,23", "--full")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        want = subprocess.run([sys.executable, *args], capture_output=True,
+                              env=env, timeout=300)
+        assert want.returncode == 0, want.stderr
+        del versions[sys.version]
+        for version, exe in sorted(versions.items()):
+            got = subprocess.run([exe, *args], capture_output=True, env=env,
+                                 timeout=300)
+            assert got.returncode == 0, (version, got.stderr)
+            assert got.stdout == want.stdout, version
+
     def test_malformed_env_values_exit_2(self):
         import os
 
@@ -234,6 +280,36 @@ class TestDeterminismAndCache:
             assert name.encode() in p.stderr
             assert b"Traceback" not in p.stderr
             assert p.stdout == b""
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def python_versions():
+    """``{sys.version: path}`` of the working Pythons >= 3.10 on this host.
+
+    Looks for ``python3.10`` to ``python3.13`` in every ``PATH`` directory and
+    under ``$PYENV_ROOT/versions``; each is run once, because a pyenv shim
+    can exist for a version that is not installed.
+    """
+    names = [f"python3.{minor}" for minor in range(10, 14)]
+    paths = [os.path.join(d, name)
+             for d in os.environ.get("PATH", "").split(os.pathsep) if d
+             for name in names]
+    root = os.environ.get("PYENV_ROOT")
+    if root:
+        paths += sorted(glob.glob(os.path.join(root, "versions", "3.1*", "bin", "python")))
+    found = {sys.version: sys.executable}
+    for path in dict.fromkeys(os.path.realpath(p) for p in paths):
+        if not os.access(path, os.X_OK) or os.path.isdir(path):
+            continue
+        p = subprocess.run(
+            [path, "-c", "import sys; assert sys.version_info >= (3, 10); "
+                         "print(sys.version, end='')"],
+            capture_output=True, text=True, timeout=60)
+        if p.returncode == 0:
+            found.setdefault(p.stdout, path)
+    return found
 
 
 def imported_modules(*args):

@@ -11,7 +11,6 @@ import pytest
 from fermatreg.fermat import FormIndex, UnsupportedModulusError, bracket, period
 from fermatreg.regulator import (
     FIndecResult,
-    RegulatorValue,
     f_indec,
     im_reg_mixed,
     log_integral,
@@ -22,7 +21,7 @@ from fermatreg.regulator import (
     script_F,
 )
 from fermatreg.specialfn import Hyp3F2Params, hyp3f2_unit
-from fermatreg.specialfn import BudgetExceededError, DomainError, EvalConfig, beta
+from fermatreg.specialfn import BudgetExceededError, DomainError, EvalConfig, EvalResult, beta
 
 CFG = EvalConfig()
 
@@ -80,6 +79,15 @@ class TestScriptF:
         with pytest.raises(DomainError):
             script_F(3, 1, 1, 3, CFG)  # a = 0 mod N
 
+    def test_budget_failure_names_the_term(self):
+        cfg = EvalConfig(tol=1e-13, max_terms=100)
+        with pytest.raises(BudgetExceededError) as inner:
+            hyp3f2_unit(Hyp3F2Params("15/13", "11/13", 1, "16/13", "24/13"), cfg)
+        with pytest.raises(BudgetExceededError) as ei:
+            script_F(17, 11, 1, 13, cfg)
+        assert str(ei.value) == f"script-F term (4, 11, 1; 13): {inner.value}"
+        assert ei.value.result == inner.value.result
+
 
 class TestLogIntegral:
     def test_frozen_values(self):
@@ -119,7 +127,6 @@ class TestRegHolomorphic:
     def test_frozen_value(self):
         r = reg_holomorphic(1, 2, 5, CFG)
         assert abs(r.value - 6.298611257238236098715) <= 1e-8
-        assert r.provenance == "closed-form"
         assert r.err <= 2 * 5 * CFG.tol
 
     def test_diagonal_vanishes_exactly(self):
@@ -306,10 +313,21 @@ class TestProjectorOracles:
         assert abs(o.value) <= o.err + 1e-8
 
 
-class TestRegulatorValue:
-    def test_provenance_validation(self):
-        RegulatorValue(1.0, 1e-9, "closed-form")
-        with pytest.raises(DomainError):
-            RegulatorValue(1.0, 1e-9, "guesswork")
-        with pytest.raises(DomainError):
-            RegulatorValue(1.0, -1e-9, "closed-form")
+class TestPairingSurface:
+    def test_result_types(self):
+        assert type(reg_holomorphic(1, 2, 5, CFG)) is EvalResult
+        assert type(im_reg_mixed(1, 2, 1, 4, 13, CFG)) is EvalResult
+        assert type(f_indec(2, 13, CFG)) is FIndecResult
+
+    # (2, 4) mod 5 is an eigenform label, but not a holomorphic one
+    @pytest.mark.parametrize("call", [
+        lambda: log_integral(2, 4, 5, "x", CFG),
+        lambda: reg_holomorphic(7, 4, 5, CFG),
+        lambda: im_reg_mixed(1, 2, 2, 4, 5, CFG),
+        lambda: oracle_projector_integral(1, 2, 2, 4, 5, "x", CFG),
+        lambda: oracle_projector_pairing(2, 4, 1, 2, 5, CFG),
+    ], ids=["log_integral", "reg_holomorphic", "im_reg_mixed",
+            "oracle_projector_integral", "oracle_projector_pairing"])
+    def test_non_holomorphic_label_raises_domain_error(self, call):
+        with pytest.raises(DomainError, match="not a holomorphic label"):
+            call()

@@ -5,7 +5,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from fermatreg.fermat import FormIndex, WedgeIndex
-from fermatreg.regulator import FIndecResult, RegulatorValue
+from fermatreg.regulator import FIndecResult
 from fermatreg.specialfn import DomainError, EvalConfig, EvalResult, Hyp3F2Params
 from fermatreg.verify import CheckResult
 
@@ -18,8 +18,6 @@ VALUES = [
     (lambda: FormIndex(13, 1, 2), ("N", "a", "b")),
     (lambda: WedgeIndex(FormIndex(13, 1, 2), FormIndex(13, 1, 4)),
      ("first", "second")),
-    (lambda: RegulatorValue(-4.27, 1e-9, "closed-form", 12),
-     ("value", "err", "provenance", "effort")),
     (lambda: FIndecResult(0.059, 1e-9, 40, False),
      ("value", "err", "effort", "hodge")),
     (lambda: CheckResult("beta symmetry", True, 0.0, 1e-13),
@@ -79,3 +77,24 @@ def test_invalid_fields_raise_domain_error(make):
 
 def test_reduced_labels_compare_equal():
     assert FormIndex(13, 14, -2) == FormIndex(13, 1, 11)
+
+
+# `_replace` (and `copy.replace` on 3.13) goes through `_make`, not `__new__`
+@pytest.mark.parametrize("make", [
+    lambda: EvalResult(1.5, 1e-9, 7)._replace(err=-1.0),
+    lambda: EvalConfig()._replace(tol=-1.0),
+    lambda: EvalConfig()._replace(max_terms=3),
+    lambda: Hyp3F2Params(1, 1, 1, 2, 2)._replace(b1=0),
+    lambda: FormIndex(13, 1, 2)._replace(a=13),
+    lambda: WedgeIndex(FormIndex(13, 1, 2), FormIndex(13, 1, 4))
+    ._replace(second=FormIndex(13, 6, 8)),
+], ids=["EvalResult", "EvalConfig tol", "EvalConfig max_terms", "Hyp3F2Params",
+        "FormIndex", "WedgeIndex"])
+def test_replace_validates(make):
+    with pytest.raises(DomainError):
+        make()
+
+
+def test_replace_normalises():
+    assert FormIndex(13, 1, 2)._replace(a=14) == FormIndex(13, 1, 2)
+    assert Hyp3F2Params(1, 1, 1, 2, 2)._replace(b1="5/2").b1 == Fr(5, 2)
