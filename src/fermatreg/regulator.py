@@ -23,6 +23,8 @@ import cmath
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul, truediv
 
 from .fermat import FormIndex, bracket, is_in_IN, is_prime, mu_half, period, is_hodge, WedgeIndex
 from .fermat import UnsupportedModulusError
@@ -236,11 +238,30 @@ def oracle_series_sum(a: int, b: int, N: int,
     disagreement of the two completed sums bounds the tail defect: the true
     defect shrinks by ~2^(4+s) between the fits, so their gap over-covers
     the reported value's error by an order of magnitude.
+
+    The K = min(32768, max_terms) terms are built per residue class
+    j = r (mod N): B((a+r)/N, b/N) comes from :func:`gamma_ratio` with its
+    relative bound, and each step j -> j + N applies the exact recurrence
+    B(m+1, n) = B(m, n) m/(m+n), where m/(m+n) is the ratio of ints
+    (a+j)/(a+b+j), rounded once.  The ratio, the product and the final
+    division by j N round once each, so every term is charged the Gamma
+    ratio's bound plus 2 eps (K//N + 2).  That charge is the tail fit's
+    ``rel_noise`` and enters ``err`` on the summed value.
     """
     _require_index(a, b, N)
     a_r, b_r = bracket(a, N), bracket(b, N)
     K = min(32768, cfg.max_terms)
-    terms = [beta((a_r + j) / N, b_r / N) / (j * N) for j in range(1, K + 1)]
+    terms = [0.0] * K
+    rel = 0.0
+    for r in range(1, min(N, K) + 1):
+        beta_r, rel0 = gamma_ratio(((a_r + r) / N, b_r / N), ((a_r + b_r + r) / N,))
+        rel = max(rel, rel0)
+        # B at j + N from B at j, for j = r, r + N, ... up to K - N
+        steps = map(truediv, range(a_r + r, a_r + K - N + 1, N),
+                    range(a_r + b_r + r, a_r + b_r + K - N + 1, N))
+        terms[r - 1::N] = map(truediv, accumulate(steps, mul, initial=beta_r),
+                              range(r * N, K * N + 1, N * N))
+    rel += 2.0 * _EPS * (K // N + 2)
     if K < 64:
         # the partial sum bounds nothing: the tail can dwarf it at small b/N
         raise BudgetExceededError(
@@ -249,14 +270,14 @@ def oracle_series_sum(a: int, b: int, N: int,
     s = b_r / N
 
     def completed(k_top: int) -> tuple[float, float]:
-        # each term carries three log-gamma rounding errors
         tail, model_err = algebraic_tail_sum(
-            lambda k: terms[k - 1], k_top, s, rel_noise=3e-13)
+            lambda k: terms[k - 1], k_top, s, rel_noise=rel)
         return math.fsum(terms[:k_top]) + tail, model_err
 
     half, _ = completed(K // 2)
     value, model_err = completed(K)
-    err = abs(value - half) + model_err + 4.0 * _EPS * abs(value) + 1e-18
+    err = (abs(value - half) + model_err + (rel + 4.0 * _EPS) * abs(value)
+           + 1e-18)
     result = EvalResult(value, err, K)
     if err > cfg.tol:
         raise BudgetExceededError(

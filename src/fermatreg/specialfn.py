@@ -207,10 +207,9 @@ def pochhammer(alpha, k: int):
     if k < 0 or k != int(k):
         raise DomainError("pochhammer index must be a nonnegative integer")
     if isinstance(alpha, (Fraction, int)):
-        out = Fraction(1)
-        for i in range(int(k)):
-            out *= alpha + i
-        return out
+        # (p/q)_k = prod (p + i q) / q^k: integer products, one normalisation
+        p, q = alpha.numerator, alpha.denominator
+        return Fraction(math.prod(range(p, p + int(k) * q, q)), q ** int(k))
     out = 1.0
     a = float(alpha)
     for i in range(int(k)):

@@ -106,6 +106,13 @@ class TestRegCommand:
         p = run_cli("reg", "holo", "--N", "5", "--a", "2", "--b", "4")
         assert p.returncode == 2
 
+    def test_budget_failure_prints_nothing_and_names_the_term(self):
+        p = run_cli("reg", "holo", "--N", "5", "--a", "1", "--b", "2",
+                    "--tol", "1e-13", "--max-terms", "100")
+        assert p.returncode == 1
+        assert p.stdout == b""
+        assert p.stderr.startswith(b"numerical failure: script-F term (2, 1, 1; 5)")
+
     def test_holo_large_modulus(self):
         p = run_cli("reg", "holo", "--N", "29", "--a", "1", "--b", "2")
         assert p.returncode == 0, p.stderr
@@ -214,6 +221,41 @@ class TestHodgeCommand:
         assert p.returncode == 2
 
 
+VERIFY_PROPERTIES = [
+    "beta symmetry (relative)",
+    "beta contiguous recurrence (relative)",
+    "Pochhammer telescoping ratio (exact rationals)",
+    "unit-argument series vs pi^2/6",
+    "zero upper parameter gives exactly 1",
+    "degenerate (cancelling-parameter) Gauss closed form",
+    "3F2 err honored against 30-digit references",
+    "Thomae-transformed and direct series agree within errs",
+    "certified err honored against 10x tighter recomputation",
+    "endpoint-singular quadrature vs pi",
+    "log-endpoint quadrature vs -1",
+    "bracket lands in {1..N} with period N",
+    "genus equals count of holomorphic eigenform labels",
+    "mu is purely imaginary (relative real part)",
+    "|mu| matches its sine form (relative)",
+    "mu_half is the doubled-modulus mu over 4 (relative)",
+    "Hodge predicate: reflexive, and (1,i)~(1,j) iff j=i or j=N-1-i",
+    "period of the (1,1) form on the cubic",
+    "script-F(1,1,1;3) frozen value",
+    "holomorphic pairing antisymmetry (exact)",
+    "holomorphic pairing diagonal vanishing (exact)",
+    "normalization identity reg = 2(Lx - Ly)/period",
+    "regrouped series equals -log integral within errs",
+    "mixed pairing swap antisymmetry (exact)",
+    "mixed pairing diagonal vanishing (exact)",
+    "mixed pairing insensitive to mu real part (relative)",
+    "f(2,13) against its printed reference",
+    "wedge ((1,2),(1,4)) mod 13 is not Hodge",
+    "projector pairing calibration: matching label gives 1",
+    "projector pairing calibration: mismatched label gives 0",
+    "projector integral vs script-F closed form",
+]
+
+
 class TestVerifyCommand:
     def test_all_suites_pass(self):
         p = run_cli("verify", "--suite", "special")
@@ -227,6 +269,14 @@ class TestVerifyCommand:
         lines = [l for l in p.stdout.decode().splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) >= 25
         assert all(l.startswith("PASS") for l in lines)
+
+    def test_full_run_prints_every_property_in_order(self):
+        p = run_cli("verify")
+        assert p.returncode == 0
+        out = p.stdout.decode().splitlines()
+        names = [l[len("PASS "):l.index(": discrepancy")] for l in out[:-1]]
+        assert names == VERIFY_PROPERTIES
+        assert out[-1] == f"{len(VERIFY_PROPERTIES)}/{len(VERIFY_PROPERTIES)} properties passed"
 
 
 class TestDeterminismAndCache:

@@ -275,6 +275,27 @@ class TestOracleSeriesSum:
         want = -log_integral(1, 1, 97, variable="x", cfg=CFG).value
         assert abs(best.value - want) <= best.err
 
+    def test_err_honored_against_mpmath(self):
+        # the sum regrouped by shift j: (1/N) sum_{j=1..N} B((a+j)/N, b/N)
+        # 3F2((a+j)/N, j/N, 1; (a+b+j)/N, j/N + 1; 1) / j, at 30 digits;
+        # every holomorphic label with N <= 7, verify's three among them
+        from fractions import Fraction as Fr
+
+        mpmath = pytest.importorskip("mpmath")
+        labels = [(a, b, N) for N in range(3, 8) for a in range(1, N)
+                  for b in range(1, N - a)]
+        assert {(1, 2, 5), (1, 1, 3), (2, 3, 7)} <= set(labels)
+        for (a, b, N) in labels:
+            with mpmath.workdps(30):
+                n = mpmath.mpf(b) / N
+                want = 0
+                for j in range(1, N + 1):
+                    x, y, c = (mpmath.mpf(v) / N for v in (a + j, j, a + b + j))
+                    want += mpmath.beta(x, n) * mpmath.hyp3f2(x, y, 1, c, y + 1, 1) / j
+                want = Fr(mpmath.nstr(want / N, 30))
+            r = oracle_series_sum(a, b, N, CFG)
+            assert abs(Fr(r.value) - want) <= Fr(r.err), (a, b, N)
+
     def test_terms_positive_and_increasing_partials(self):
         a, b, N = 1, 2, 5
         terms = [beta((a + j) / N, b / N) / (j * N) for j in range(1, 200)]
