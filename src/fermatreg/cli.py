@@ -134,18 +134,19 @@ def _cmd_f_table(args) -> int:
     for N in moduli:
         i_values = explicit_i if explicit_i is not None else list(range(2, N // 4 + 1))
         for i in sorted(set(i_values)):
+            # an invalid row is a usage error, raised before anything is printed
+            fermat.WedgeIndex(fermat.FormIndex(N, 1, i), fermat.FormIndex(N, 1, 2 * i))
             rows.append((i, N))
 
     def fmt(x: float) -> str:
         return repr(x) if args.full else f"{x:.6f}"
 
-    wrote = 0
     failed = 0
     lines = []
     for (i, N) in rows:
         try:
             res = regulator.f_indec(i, N, cfg)
-        except (DomainError, BudgetExceededError) as exc:
+        except BudgetExceededError as exc:
             failed += 1
             if args.format == "json":
                 lines.append(json.dumps({"inputs": {"i": i, "N": N},
@@ -155,7 +156,6 @@ def _cmd_f_table(args) -> int:
                 msg = str(exc).replace("\n", " ").replace('"', '""')
                 lines.append(f'{i},{N},,,"{msg}"')
             continue
-        wrote += 1
         if args.format == "json":
             lines.append(_record({"i": i, "N": N}, float(fmt(res.value)), res.err,
                                  _PAIRING_PROVENANCE, res.effort, hodge=res.hodge))
@@ -167,9 +167,7 @@ def _cmd_f_table(args) -> int:
         sys.stdout.write("i,N,f,err,hodge\n")
     for line in lines:
         sys.stdout.write(line + "\n")
-    if wrote == 0 and failed > 0:
-        return 1
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_hodge(args) -> int:

@@ -168,7 +168,7 @@ def beta(m: float, n: float) -> float:
     n = float(n)
     if not (m > 0.0 and n > 0.0):
         raise DomainError("beta requires positive arguments")
-    return math.exp(log_gamma(m) + log_gamma(n) - log_gamma(m + n))
+    return gamma_ratio((m, n), (m + n,))[0]
 
 
 # math.lgamma at every k/N with N prime below 400 and k <= 3N errs by at
@@ -196,6 +196,14 @@ def gamma_ratio(num: Sequence[float], den: Sequence[float]) -> tuple[float, floa
             lg += sign * v
             lg_err += max(1.0, abs(v))
     return math.exp(lg), math.expm1(_LGAMMA_ULPS * _EPS * lg_err) + 2.0 * _EPS
+
+
+def _scaled(res: EvalResult, factor: float, rel: float) -> EvalResult:
+    """``factor`` times a certified ``res``, where ``rel`` bounds the relative
+    error of ``factor`` and of the product's own rounding."""
+    value = factor * res.value
+    return EvalResult(value, abs(factor) * res.err * (1.0 + rel) + rel * abs(value),
+                      res.effort)
 
 
 def pochhammer(alpha, k: int):
@@ -227,8 +235,7 @@ def gauss_2f1_unit(a: float, b: float, c: float) -> float:
     a, b, c = float(a), float(b), float(c)
     if not c - a - b > 0.0:
         raise DivergentParametersError("2F1 at unit argument needs c - a - b > 0")
-    return math.exp(log_gamma(c) + log_gamma(c - a - b)
-                    - log_gamma(c - a) - log_gamma(c - b))
+    return gamma_ratio((c, c - a - b), (c - a, c - b))[0]
 
 
 # --- tanh-sinh quadrature on (0, 1) ---------------------------------------
@@ -567,11 +574,6 @@ def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
             K *= 2
         checkpoints.append(cfg.max_terms)
 
-    def scaled(series: float, series_err: float, effort: int) -> EvalResult:
-        value = pref * series
-        return EvalResult(value, pref * series_err * (1.0 + rel) + rel * abs(value),
-                          effort)
-
     # only the tail-fit terms are kept as the blocks go by.  A grid
     # checkpoint's nodes lie above 5/8 of it, past the checkpoint before
     # it; an off-grid budget's can lie further back, so they are wanted
@@ -604,13 +606,14 @@ def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
             count += n
         partial = 1.0 + math.fsum(block_sums)
         if K == last:
-            return scaled(partial, 2.0 * _EPS * drift + 4.0 * _EPS * abs_sum, count)
+            return _scaled(EvalResult(partial, 2.0 * _EPS * drift + 4.0 * _EPS * abs_sum,
+                                      count), pref, rel)
 
         tail, model_err = algebraic_tail_sum(nodes.__getitem__, K, s / D)
         err = model_err + 2.0 * _EPS * drift \
             + 2.0 * _EPS * K * abs(tail) \
             + 4.0 * _EPS * (abs_sum + abs(tail)) + 1e-18
-        result = scaled(partial + tail, err, count)
+        result = _scaled(EvalResult(partial + tail, err, count), pref, rel)
         if result.err <= cfg.tol:
             return result
         if best is None or result.err < best.err:

@@ -168,12 +168,13 @@ class TestFTableCommand:
         p = run_cli("f-table", "--N", "15")
         assert p.returncode == 2
 
-    def test_csv_error_row_has_five_fields(self):
+    def test_invalid_row_index_exits_2_before_output(self):
+        # i = 6 mod 13 makes (1, 2i) = (1, 12), not an eigenform label; the
+        # valid row i = 2 is not printed either
         p = run_cli("f-table", "--N", "13", "--i", "2,6", "--format", "csv")
-        assert p.returncode == 0
-        rows = list(csv.reader(p.stdout.decode().splitlines()))
-        assert [len(r) for r in rows] == [5, 5, 5]
-        assert rows[2] == ["6", "13", "", "", "(1, 12) is not an eigenform index mod 13"]
+        assert p.returncode == 2
+        assert p.stdout == b""
+        assert p.stderr == b"error: (1, 12) is not an eigenform index mod 13\n"
 
     def test_budget_failure_names_the_script_f_term(self):
         args = ("f-table", "--N", "13", "--i", "2", "--tol", "1e-13",
@@ -304,17 +305,22 @@ class TestDeterminismAndCache:
         versions = python_versions()
         if len(versions) < 2:
             pytest.skip("fewer than two Python versions >= 3.10 found")
-        args = ("-m", "fermatreg", "f-table", "--N", "13,17,19,23", "--full")
+        # reg holo sums 2N products with math.fsum, whose rounding is the
+        # same in every version; the built-in sum's is not
         env = {**os.environ, "PYTHONPATH": str(SRC)}
-        want = subprocess.run([sys.executable, *args], capture_output=True,
-                              env=env, timeout=300)
-        assert want.returncode == 0, want.stderr
         del versions[sys.version]
-        for version, exe in sorted(versions.items()):
-            got = subprocess.run([exe, *args], capture_output=True, env=env,
-                                 timeout=300)
-            assert got.returncode == 0, (version, got.stderr)
-            assert got.stdout == want.stdout, version
+        for args in (("f-table", "--N", "13,17,19,23", "--full"),
+                     ("reg", "holo", "--N", "23", "--a", "1", "--b", "2"),
+                     ("reg", "mixed", "--N", "13", "--a", "1", "--b", "2",
+                      "--c", "1", "--d", "4")):
+            want = subprocess.run([sys.executable, "-m", "fermatreg", *args],
+                                  capture_output=True, env=env, timeout=300)
+            assert want.returncode == 0, want.stderr
+            for version, exe in sorted(versions.items()):
+                got = subprocess.run([exe, "-m", "fermatreg", *args],
+                                     capture_output=True, env=env, timeout=300)
+                assert got.returncode == 0, (version, args, got.stderr)
+                assert got.stdout == want.stdout, (version, args)
 
     def test_malformed_env_values_exit_2(self):
         import os

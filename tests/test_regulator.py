@@ -86,7 +86,14 @@ class TestScriptF:
         with pytest.raises(BudgetExceededError) as ei:
             script_F(17, 11, 1, 13, cfg)
         assert str(ei.value) == f"script-F term (4, 11, 1; 13): {inner.value}"
-        assert ei.value.result == inner.value.result
+        # the attached result is a script-F value: the Beta-ratio prefactor
+        # times the series' best result, its err scaled with it
+        a, j, b, N = 4, 11, 1, 13
+        pref = beta((a + j) / N, b / N) / (j * beta(a / N, b / N))
+        got, raw = ei.value.result, inner.value.result
+        assert abs(got.value - pref * raw.value) <= 1e-14 * abs(got.value)
+        assert got.err >= pref * raw.err
+        assert got.effort == raw.effort
 
 
 class TestLogIntegral:
@@ -352,3 +359,49 @@ class TestPairingSurface:
     def test_non_holomorphic_label_raises_domain_error(self, call):
         with pytest.raises(DomainError, match="not a holomorphic label"):
             call()
+
+    def test_err_honored_against_mpmath(self):
+        # each pairing against its closed form at 30 digits, with the exact
+        # Beta and mu_half weights; the comparison is exact, in rationals
+        from fractions import Fraction as Fr
+        from functools import cache
+
+        mpmath = pytest.importorskip("mpmath")
+        mpf = mpmath.mpf
+        cfg = EvalConfig(tol=1e-10)
+
+        @cache
+        def F(a, j, b, N):
+            q = [mpf(v) / N for v in (a + j, j, N, a + b + j, j + N)]
+            return (mpmath.beta(q[0], mpf(b) / N)
+                    / (j * mpmath.beta(mpf(a) / N, mpf(b) / N))
+                    * mpmath.hyp3f2(*q, 1))
+
+        def im_mu_half(a, b, N):
+            s = [mpmath.sin(mpmath.pi * x / (2 * N)) for x in (a, b, a + b)]
+            return -2 * N * N * s[0] * s[1] / s[2]
+
+        def check(r, want, case):
+            assert abs(Fr(r.value) - Fr(mpmath.nstr(want, 30))) <= Fr(r.err), case
+
+        with mpmath.workdps(30):
+            for (a, b, N) in ((1, 2, 5), (2, 3, 7)):
+                js = range(1, N + 1)
+                check(reg_holomorphic(a, b, N, cfg),
+                      2 * mpmath.fsum(F(b, j, a, N) - F(a, j, b, N) for j in js),
+                      (a, b, N))
+                for variable, (x, y) in (("x", (a, b)), ("y", (b, a))):
+                    want = (-mpmath.beta(mpf(x) / N, mpf(y) / N) / N
+                            * mpmath.fsum(F(x, j, y, N) for j in js))
+                    check(log_integral(a, b, N, variable, cfg), want, (a, b, N, variable))
+            # a == c, b == d, and the f(2, 13) wedge
+            for (a, b, c, d, N) in ((2, 3, 2, 1, 7), (1, 2, 3, 2, 7), (1, 2, 1, 4, 13)):
+                m_ab, m_cd = im_mu_half(a, b, N), im_mu_half(c, d, N)
+                want = 0
+                if a == c:
+                    want += (m_ab * F(d, bracket(b - d, N), c, N)
+                             - m_cd * F(b, bracket(d - b, N), a, N))
+                if b == d:
+                    want += (m_cd * F(a, bracket(c - a, N), b, N)
+                             - m_ab * F(c, bracket(a - c, N), d, N))
+                check(im_reg_mixed(a, b, c, d, N, cfg), 2 * want, (a, b, c, d, N))
