@@ -2,9 +2,9 @@
 
 The package has three layers:
 
-* :mod:`fermatreg.specialfn` -- log-gamma, beta, Pochhammer, tanh-sinh
-  quadrature and a certified 3F2-at-unit-argument evaluator (a
-  Thomae-transformed, accelerated series with a fitted algebraic tail);
+* :mod:`fermatreg.specialfn` -- beta, Gamma ratios, tanh-sinh quadrature
+  and a certified 3F2-at-unit-argument evaluator (a Thomae-transformed,
+  accelerated series with a fitted algebraic tail);
 * :mod:`fermatreg.fermat` -- eigenform indexing on the curve x^N + y^N = 1,
   period constants, the root-of-unity coefficients mu and mu_half, and the
   Hodge-class predicate for prime N;
@@ -30,9 +30,7 @@ from .specialfn import (
     de_quadrature,
     gauss_2f1_unit,
     hyp3f2_unit,
-    log_gamma,
     one_minus_root,
-    pochhammer,
 )
 from .fermat import (
     FormIndex,
@@ -65,7 +63,7 @@ __all__ = [
     "BudgetExceededError", "DivergentParametersError", "DomainError",
     "EvalConfig", "EvalResult", "Hyp3F2Params", "NonFiniteSampleError",
     "beta", "de_quadrature", "gauss_2f1_unit", "hyp3f2_unit",
-    "log_gamma", "one_minus_root", "pochhammer",
+    "one_minus_root",
     # fermat
     "FormIndex", "UnsupportedModulusError", "WedgeIndex", "bracket", "genus",
     "is_hodge", "is_in_IN", "is_prime", "mu", "mu_half", "period",

@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__, fermat, regulator
 from .specialfn import (
@@ -29,35 +28,27 @@ from .specialfn import (
     hyp3f2_unit,
 )
 
-_ENV_PREFIX = "FERMATREG_"
+_TOL_ENV = "FERMATREG_TOL"
 _HYP3F2_PROVENANCE = "accelerated-series"
 _PAIRING_PROVENANCE = "closed-form"
 
 
 def _cfg_from_args(args) -> EvalConfig:
-    def pick(flag_value, env_name, cast, default):
-        if flag_value is not None:
-            return cast(flag_value)
-        env = os.environ.get(_ENV_PREFIX + env_name)
-        if env is None:
-            return default
-        try:
-            return cast(env)
-        except ValueError:
-            raise DomainError(f"{_ENV_PREFIX}{env_name}={env!r} is not a valid "
-                              f"{cast.__name__}") from None
-
-    return EvalConfig(
-        tol=pick(args.tol, "TOL", float, 1e-8),
-        max_terms=pick(args.max_terms, "MAX_TERMS", int, 500_000),
-    )
+    if args.tol is not None:
+        return EvalConfig(args.tol)
+    env = os.environ.get(_TOL_ENV)
+    if env is None:
+        return EvalConfig()
+    try:
+        tol = float(env)
+    except ValueError:
+        raise DomainError(f"{_TOL_ENV}={env!r} is not a valid float") from None
+    return EvalConfig(tol)
 
 
 def _add_cfg_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=None,
                    help="absolute tolerance (default 1e-8)")
-    p.add_argument("--max-terms", type=int, default=None,
-                   help="series term budget, at least 4 (default 500000)")
 
 
 def _record(inputs: dict, value: float, err: float, provenance: str,
@@ -69,17 +60,10 @@ def _record(inputs: dict, value: float, err: float, provenance: str,
     return json.dumps(rec)
 
 
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"not a rational number: {text!r} ({exc})") from exc
-
-
 def _cmd_hyp3f2(args) -> int:
     cfg = _cfg_from_args(args)
     raw = {k: getattr(args, k) for k in ("a1", "a2", "a3", "b1", "b2")}
-    params = Hyp3F2Params(*(_parse_rational(raw[k]) for k in ("a1", "a2", "a3", "b1", "b2")))
+    params = Hyp3F2Params(**raw)
     try:
         res = hyp3f2_unit(params, cfg)
     except BudgetExceededError as exc:

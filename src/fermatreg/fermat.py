@@ -161,10 +161,8 @@ def mu_half(a: int, b: int, N: int) -> complex:
         raise DomainError("mu_half denominator vanishes when a + b = 0 mod N")
     if a % N == 0 or b % N == 0:
         raise DomainError("mu_half requires a and b nonzero mod N")
-    ar, br = a % N, b % N
-    num = (1.0 - _cis(ar, 2 * N)) * (1.0 - _cis(br, 2 * N))
-    den = 1.0 - _cis(ar + br, 2 * N)
-    return N * N * num / den
+    # the check is mod N: a + b = N is a valid label for mu at 2N
+    return mu(a % N, b % N, 2 * N) / 4
 
 
 def is_hodge(w: WedgeIndex) -> bool:

@@ -35,6 +35,7 @@ from .specialfn import (
     EvalResult,
     Hyp3F2Params,
     _scaled,
+    _validated_make,
     algebraic_tail_sum,
     de_quadrature,
     gamma_ratio,
@@ -61,6 +62,12 @@ class FIndecResult(namedtuple("FIndecResult", "value err effort hodge")):
     """An f(i, N) table entry: value, error bound, work, and Hodge flag."""
 
     __slots__ = ()
+    _make = _validated_make
+
+    def __new__(cls, value: float, err: float, effort: int, hodge: bool):
+        if not (err >= 0.0):
+            raise DomainError("error bound must be nonnegative")
+        return super().__new__(cls, value, err, effort, hodge)
 
 
 def _require_index(a: int, b: int, N: int) -> None:
@@ -122,7 +129,7 @@ def _weighted_sum(terms: list[tuple[float, int, int, int]], N: int,
     errs by under 4 eps for every label with N <= 200, measured against
     mpmath).  A budget failure passes on the failing term's error.
     """
-    inner = EvalConfig(cfg.tol / 4.0, cfg.max_terms)
+    inner = EvalConfig(cfg.tol / 4.0)
     cs = [c for (c, _, _, _) in terms]
     fs = [script_F(a, j, b, N, inner) for (_, a, j, b) in terms]
     products = [c * f.value for c, f in zip(cs, fs)]
@@ -209,7 +216,7 @@ def f_indec(i: int, N: int, cfg: EvalConfig = EvalConfig()) -> FIndecResult:
     # (two script-F terms at tol/4, each prefactor below 1), and
     # |mu_half(1, b, N)| < pi N, so after dividing by 2 N^2 the err stays
     # below (pi/4) cfg.tol when the pairing is asked for N * cfg.tol / 2
-    rv = im_reg_mixed(1, i, 1, 2 * i, N, EvalConfig(N * cfg.tol / 2.0, cfg.max_terms))
+    rv = im_reg_mixed(1, i, 1, 2 * i, N, EvalConfig(N * cfg.tol / 2.0))
     scale = 2.0 * N * N
     w = WedgeIndex(FormIndex(N, 1, i), FormIndex(N, 1, 2 * i))
     return FIndecResult(rv.value / scale, rv.err / scale + _EPS, rv.effort,
@@ -230,7 +237,7 @@ def oracle_series_sum(a: int, b: int, N: int,
     defect shrinks by ~2^(4+s) between the fits, so their gap over-covers
     the reported value's error by an order of magnitude.
 
-    The K = min(32768, max_terms) terms are built per residue class
+    The K = 32768 terms are built per residue class
     j = r (mod N): B((a+r)/N, b/N) comes from :func:`gamma_ratio` with its
     relative bound, and each step j -> j + N applies the exact recurrence
     B(m+1, n) = B(m, n) m/(m+n), where m/(m+n) is the ratio of ints
@@ -241,7 +248,7 @@ def oracle_series_sum(a: int, b: int, N: int,
     """
     _require_index(a, b, N)
     a_r, b_r = bracket(a, N), bracket(b, N)
-    K = min(32768, cfg.max_terms)
+    K = 32768  # 64 * 2^9, so both tail fits sit on hyp3f2_unit's checkpoint grid
     terms = [0.0] * K
     rel = 0.0
     for r in range(1, min(N, K) + 1):
@@ -253,11 +260,6 @@ def oracle_series_sum(a: int, b: int, N: int,
         terms[r - 1::N] = map(truediv, accumulate(steps, mul, initial=beta_r),
                               range(r * N, K * N + 1, N * N))
     rel += 2.0 * _EPS * (K // N + 2)
-    if K < 64:
-        # the partial sum bounds nothing: the tail can dwarf it at small b/N
-        raise BudgetExceededError(
-            "too few terms for tail modelling",
-            EvalResult(math.fsum(terms), math.inf, K))
     s = b_r / N
 
     def completed(k_top: int) -> tuple[float, float]:
@@ -289,7 +291,7 @@ def _projector_average(kernel, a, b, c, d, N, indexed_by, cfg) -> EvalResult:
     (c, d) isotypic component.  Runs in O(N^2) using row sums.
     """
     norm = N * N * period(FormIndex(N, a, b))
-    inner = EvalConfig(max(cfg.tol * abs(norm) / (8.0 * N), 1e-14), cfg.max_terms)
+    inner = EvalConfig(max(cfg.tol * abs(norm) / (8.0 * N), 1e-14))
     kernel_values, kernel_err, effort = kernel(inner)
     zeta_pow = [cmath.exp(complex(0.0, 2.0 * math.pi * r / N)) for r in range(N)]
 

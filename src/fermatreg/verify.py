@@ -65,17 +65,6 @@ def _special_checks(cfg: EvalConfig) -> list[CheckResult]:
         worst = max(worst, abs(lhs - rhs) / lhs)
     out.append(_check("beta contiguous recurrence (relative)", worst, 1e-12))
 
-    exact = True
-    for N in (5, 13, 23):
-        for j in range(1, N + 1):
-            sigma = Fraction(j, N)
-            for k in (0, 1, 2, 7, 40):
-                lhs = specialfn.pochhammer(sigma, k) / specialfn.pochhammer(sigma + 1, k)
-                if lhs != sigma / (sigma + k):
-                    exact = False
-    out.append(_check("Pochhammer telescoping ratio (exact rationals)",
-                      0.0 if exact else 1.0, 0.0))
-
     basel = specialfn.hyp3f2_unit(Hyp3F2Params(1, 1, 1, 2, 2), cfg)
     out.append(_check("unit-argument series vs pi^2/6",
                       abs(basel.value - math.pi ** 2 / 6.0), 1e-10))

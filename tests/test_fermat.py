@@ -190,6 +190,23 @@ class TestMuHalf:
             )
             assert abs(mu_half(a, b, N).imag - want) <= 1e-12 * abs(want)
 
+    def test_same_bits_as_the_half_angle_expression(self):
+        # mu's expression with z = exp(pi i/N), written out, on every label
+        # with reduced a, b: mu_half must give it bit for bit
+        def cis(num, den):
+            th = 2.0 * math.pi * (num % den) / den
+            return complex(math.cos(th), math.sin(th))
+
+        for N in range(3, 61):
+            for a in range(1, N):
+                for b in range(1, N):
+                    if a + b == N:
+                        continue
+                    num = (1.0 - cis(a, 2 * N)) * (1.0 - cis(b, 2 * N))
+                    want = N * N * num / (1.0 - cis(a + b, 2 * N))
+                    assert repr(mu_half(a, b, N)) == repr(want), (a, b, N)
+                    assert repr(mu_half(a + N, b - 2 * N, N)) == repr(want), (a, b, N)
+
 
 class TestHodge:
     def test_spot_examples(self):

@@ -12,7 +12,7 @@ from fermatreg.verify import CheckResult
 # one constructor call per type, with its field names
 VALUES = [
     (lambda: EvalResult(1.5, 1e-9, 7), ("value", "err", "effort")),
-    (lambda: EvalConfig(1e-10, 1000), ("tol", "max_terms")),
+    (lambda: EvalConfig(1e-10), ("tol",)),
     (lambda: Hyp3F2Params("3/13", Fr(1, 13), 1, "4/13", "14/13"),
      ("a1", "a2", "a3", "b1", "b2")),
     (lambda: FormIndex(13, 1, 2), ("N", "a", "b")),
@@ -59,7 +59,7 @@ def test_default_config_cannot_be_changed():
     cfg = EvalConfig()
     with pytest.raises(AttributeError):
         cfg.tol = 1e-12
-    assert (cfg.tol, cfg.max_terms) == (1e-8, 500_000)
+    assert cfg.tol == 1e-8
     assert EvalConfig() == cfg
 
 
@@ -69,7 +69,8 @@ def test_default_config_cannot_be_changed():
     lambda: EvalConfig(tol=float("nan")),
     lambda: EvalConfig(tol=-1e-8),
     lambda: FormIndex(2, 1, 1),
-], ids=["err nan", "tol nan", "tol<0", "N<3"])
+    lambda: FIndecResult(0.1, -1.0, 5, False),
+], ids=["err nan", "tol nan", "tol<0", "N<3", "FIndecResult err<0"])
 def test_invalid_fields_raise_domain_error(make):
     with pytest.raises(DomainError):
         make()
@@ -83,13 +84,13 @@ def test_reduced_labels_compare_equal():
 @pytest.mark.parametrize("make", [
     lambda: EvalResult(1.5, 1e-9, 7)._replace(err=-1.0),
     lambda: EvalConfig()._replace(tol=-1.0),
-    lambda: EvalConfig()._replace(max_terms=3),
     lambda: Hyp3F2Params(1, 1, 1, 2, 2)._replace(b1=0),
     lambda: FormIndex(13, 1, 2)._replace(a=13),
     lambda: WedgeIndex(FormIndex(13, 1, 2), FormIndex(13, 1, 4))
     ._replace(second=FormIndex(13, 6, 8)),
-], ids=["EvalResult", "EvalConfig tol", "EvalConfig max_terms", "Hyp3F2Params",
-        "FormIndex", "WedgeIndex"])
+    lambda: FIndecResult(0.059, 1e-9, 40, False)._replace(err=-1.0),
+], ids=["EvalResult", "EvalConfig tol", "Hyp3F2Params", "FormIndex", "WedgeIndex",
+        "FIndecResult"])
 def test_replace_validates(make):
     with pytest.raises(DomainError):
         make()
