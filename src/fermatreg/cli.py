@@ -16,7 +16,6 @@ domain error.
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__, fermat, regulator
@@ -28,26 +27,12 @@ from .specialfn import (
     hyp3f2_unit,
 )
 
-_TOL_ENV = "FERMATREG_TOL"
 _HYP3F2_PROVENANCE = "accelerated-series"
 _PAIRING_PROVENANCE = "closed-form"
 
 
-def _cfg_from_args(args) -> EvalConfig:
-    if args.tol is not None:
-        return EvalConfig(args.tol)
-    env = os.environ.get(_TOL_ENV)
-    if env is None:
-        return EvalConfig()
-    try:
-        tol = float(env)
-    except ValueError:
-        raise DomainError(f"{_TOL_ENV}={env!r} is not a valid float") from None
-    return EvalConfig(tol)
-
-
 def _add_cfg_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=float, default=EvalConfig().tol,
                    help="absolute tolerance (default 1e-8)")
 
 
@@ -61,7 +46,7 @@ def _record(inputs: dict, value: float, err: float, provenance: str,
 
 
 def _cmd_hyp3f2(args) -> int:
-    cfg = _cfg_from_args(args)
+    cfg = EvalConfig(args.tol)
     raw = {k: getattr(args, k) for k in ("a1", "a2", "a3", "b1", "b2")}
     params = Hyp3F2Params(**raw)
     try:
@@ -76,7 +61,7 @@ def _cmd_hyp3f2(args) -> int:
 
 
 def _cmd_reg(args) -> int:
-    cfg = _cfg_from_args(args)
+    cfg = EvalConfig(args.tol)
     if args.kind == "holo":
         rv = regulator.reg_holomorphic(args.N_a, args.N_b, args.N, cfg)
         inputs = {"N": args.N, "a": args.N_a, "b": args.N_b}
@@ -103,7 +88,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _cmd_f_table(args) -> int:
-    cfg = _cfg_from_args(args)
+    cfg = EvalConfig(args.tol)
     moduli = sorted(set(_parse_int_list(args.N)))
     if not moduli:
         raise DomainError("--N needs at least one modulus")
@@ -186,7 +171,7 @@ def _cmd_verify(args) -> int:
     # imported here so that the other commands do not pay for it
     from . import verify
 
-    cfg = _cfg_from_args(args)
+    cfg = EvalConfig(args.tol)
     results = verify.run_suite(args.suite, cfg)
     for r in results:
         print(r.line())

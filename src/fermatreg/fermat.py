@@ -83,8 +83,6 @@ class FormIndex(namedtuple("FormIndex", "N a b")):
     _make = _validated_make
 
     def __new__(cls, N: int, a: int, b: int):
-        if N < 3:
-            raise DomainError("modulus must be at least 3")
         if not is_in_IN(a, b, N):
             raise DomainError(f"({a}, {b}) is not an eigenform index mod {N}")
         return super().__new__(cls, N, bracket(a, N), bracket(b, N))
@@ -135,12 +133,8 @@ def mu(a: int, b: int, N: int) -> complex:
     for reduced a, b.  Requires (a, b) in the index set; in particular the
     denominator must not vanish (a + b != 0 mod N).
     """
-    if N < 3:
-        raise DomainError("modulus must be at least 3")
-    if (a + b) % N == 0:
-        raise DomainError("mu denominator vanishes when a + b = 0 mod N")
-    if a % N == 0 or b % N == 0:
-        raise DomainError("mu requires a and b nonzero mod N")
+    if not is_in_IN(a, b, N):
+        raise DomainError(f"({a}, {b}) is not an eigenform index mod {N}")
     num = (1.0 - _cis(a, N)) * (1.0 - _cis(b, N))
     den = 1.0 - _cis(a + b, N)
     return N * N * num / den
@@ -155,13 +149,9 @@ def mu_half(a: int, b: int, N: int) -> complex:
     direct projector integration; see that function.  Purely imaginary with
     Im mu_half = -2 N^2 sin(pi a/(2N)) sin(pi b/(2N)) / sin(pi (a+b)/(2N)).
     """
-    if N < 3:
-        raise DomainError("modulus must be at least 3")
-    if (a + b) % N == 0:
-        raise DomainError("mu_half denominator vanishes when a + b = 0 mod N")
-    if a % N == 0 or b % N == 0:
-        raise DomainError("mu_half requires a and b nonzero mod N")
     # the check is mod N: a + b = N is a valid label for mu at 2N
+    if not is_in_IN(a, b, N):
+        raise DomainError(f"({a}, {b}) is not an eigenform index mod {N}")
     return mu(a % N, b % N, 2 * N) / 4
 
 

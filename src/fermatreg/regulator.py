@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul, truediv
 
-from .fermat import FormIndex, bracket, is_in_IN, is_prime, mu_half, period, is_hodge, WedgeIndex
+from .fermat import FormIndex, bracket, is_prime, mu_half, period, is_hodge, WedgeIndex
 from .fermat import UnsupportedModulusError
 from .specialfn import (
     BudgetExceededError,
@@ -70,18 +70,12 @@ class FIndecResult(namedtuple("FIndecResult", "value err effort hodge")):
         return super().__new__(cls, value, err, effort, hodge)
 
 
-def _require_index(a: int, b: int, N: int) -> None:
-    if not is_in_IN(a, b, N):
-        raise DomainError(f"({a}, {b}) is not an eigenform index mod {N}")
-
-
 def _holomorphic(a: int, b: int, N: int) -> tuple[int, int]:
     """The holomorphic label (a, b) reduced into {1, ..., N-1}, or DomainError."""
-    _require_index(a, b, N)
-    a_r, b_r = bracket(a, N), bracket(b, N)
-    if not a_r + b_r < N:
+    idx = FormIndex(N, a, b)
+    if not idx.holomorphic:
         raise DomainError(f"({a}, {b}) is not a holomorphic label mod {N}")
-    return a_r, b_r
+    return idx.a, idx.b
 
 
 def script_F(a: int, j: int, b: int, N: int,
@@ -95,10 +89,9 @@ def script_F(a: int, j: int, b: int, N: int,
     :class:`BudgetExceededError` names the term and carries the best
     script-F value, the prefactor applied to the series' best result.
     """
-    _require_index(a, b, N)
+    _, a_r, b_r = FormIndex(N, a, b)
     if j < 1:
         raise DomainError("shift j must be at least 1")
-    a_r, b_r = bracket(a, N), bracket(b, N)
     # B((a+j)/N, b/N) / B(a/N, b/N), with the common Gamma(b/N) cancelled;
     # the division by j and the product with the series round once each
     ratio, rel = gamma_ratio(((a_r + j) / N, (a_r + b_r) / N),
@@ -246,8 +239,7 @@ def oracle_series_sum(a: int, b: int, N: int,
     ratio's bound plus 2 eps (K//N + 2).  That charge is the tail fit's
     ``rel_noise`` and enters ``err`` on the summed value.
     """
-    _require_index(a, b, N)
-    a_r, b_r = bracket(a, N), bracket(b, N)
+    _, a_r, b_r = FormIndex(N, a, b)
     K = 32768  # 64 * 2^9, so both tail fits sit on hyp3f2_unit's checkpoint grid
     terms = [0.0] * K
     rel = 0.0

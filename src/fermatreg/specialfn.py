@@ -255,33 +255,26 @@ def de_quadrature(f: Callable, cfg: EvalConfig) -> EvalResult:
     best result) when 10 levels are exhausted first.
     """
     effort = 0
-    h = _H0
-    n0 = int(_U_MAX / h)
-    total = 0.0
-    for k in range(-n0, n0 + 1):
-        x, xc, w = _ts_point(k * h)
-        total = total + w * _call_integrand(f, x, xc)
-        effort += 1
-    estimate = h * total
-    prev = None
-    err = abs(estimate) + 1.0
-
-    for level in range(1, _QUAD_LEVELS + 1):
-        h *= 0.5
+    estimate = 0.0
+    for level in range(_QUAD_LEVELS + 1):
+        h = _H0 * 0.5 ** level
         n = int(_U_MAX / h)
+        # level 0 visits every node; each later level only the odd multiples
+        # of its h, the nodes the levels before it did not visit
+        step = 2 if level else 1
+        first = n - (n + 1) % step  # the outermost node visited
         add = 0.0
         g_out = 0.0
         g_in = 0.0
-        first_odd = n if n % 2 == 1 else n - 1
-        for k in range(-first_odd, n + 1, 2):  # odd multiples only: k*h is new
+        for k in range(-first, n + 1, step):
             x, xc, w = _ts_point(k * h)
             fv = _call_integrand(f, x, xc)
             term = w * fv
             add = add + term
             ak = abs(k)
-            if ak == first_odd:
+            if ak == first:
                 g_out = max(g_out, abs(term))
-            elif ak == first_odd - 2:
+            elif ak == first - 2:
                 g_in = max(g_in, abs(term))
             effort += 1
         prev = estimate
@@ -498,17 +491,20 @@ def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     up to a fixed budget of 524 288 = 64 * 2^13 terms.  Every script-F
     term measured certifies the default tol within 129 terms, so the
     budget binds only at a tight tol or on a series that no transform
-    speeds up.  A nonpositive-integer upper parameter within the budget
-    ends the series exactly.
+    speeds up.  A series with the upper parameter -m, m within the budget,
+    ends at term m; that end is its one checkpoint, with no tail.
 
     Error.  ``err`` adds the tail model's error, the recurrence drift
     ``2 eps sum k|t_k|``, the rounding of the sums, and, for a transformed
     series, the Gamma prefactor's rounding (see :func:`gamma_ratio`)
-    scaled onto the value.  Each checkpoint compares this final ``err``
-    with ``cfg.tol``.  On a budget failure the result with the smallest
-    ``err`` is attached, with ``effort`` counting every term summed.  The
-    failure comes before the budget is spent when the prefactor's rounding
-    alone rules out ``cfg.tol`` and ``err`` has stopped falling.
+    scaled onto the value.  One rule ends every series: a checkpoint
+    whose ``err`` is at most ``cfg.tol`` is returned, and otherwise
+    :class:`BudgetExceededError` is raised, carrying the result with the
+    smallest ``err`` and an ``effort`` that counts every term summed.  It
+    is raised after the last checkpoint, or as soon as ``err`` has
+    stopped falling and a floor that no later checkpoint's ``err`` can go
+    below, the drift and sum rounding so far plus the prefactor's
+    rounding, passes ``cfg.tol``.
     """
     if any(a == 0 for a in p.uppers()):
         return EvalResult(1.0, 0.0, 1)
@@ -534,7 +530,8 @@ def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
     ``rel`` bounds the relative error of ``pref``."""
     a1, a2, a3 = (n / D for n in ups)
     c1, c2 = b1 / D, b2 / D
-    # the series ends at term m when an upper parameter is -m
+    # the series ends at term m when an upper parameter is -m; that end is
+    # its one checkpoint, where nothing is left for a tail to close
     ends = [-n // D for n in ups if n <= 0 and n % D == 0]
     last = min(ends) if ends else None
     if last is not None and last <= _TERM_BUDGET:
@@ -553,6 +550,7 @@ def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
     count = 1     # terms summed so far (k = 0 included)
 
     best: EvalResult | None = None
+    why = "not reached"
     for K in checkpoints:
         # only the tail-fit terms are kept as the blocks go by; a
         # checkpoint's nodes lie above 5/8 of it, past the one before it
@@ -573,29 +571,31 @@ def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
             abs_sum += math.fsum(map(abs, block))
             drift += math.fsum(map(mul, map(abs, block), range(count, count + n)))
             count += n
-        partial = 1.0 + math.fsum(block_sums)
-        if K == last:
-            return _scaled(EvalResult(partial, 2.0 * _EPS * drift + 4.0 * _EPS * abs_sum,
-                                      count), pref, rel)
-
-        tail, model_err = algebraic_tail_sum(nodes.__getitem__, K, s / D)
+        if K == last:  # the series has ended: no tail to fit or allow for
+            tail = model_err = tail_slack = 0.0
+        else:
+            tail, model_err = algebraic_tail_sum(nodes.__getitem__, K, s / D)
+            tail_slack = 1e-18
         err = model_err + 2.0 * _EPS * drift \
             + 2.0 * _EPS * K * abs(tail) \
-            + 4.0 * _EPS * (abs_sum + abs(tail)) + 1e-18
-        result = _scaled(EvalResult(partial + tail, err, count), pref, rel)
+            + 4.0 * _EPS * (abs_sum + abs(tail)) + tail_slack
+        result = _scaled(EvalResult(1.0 + math.fsum(block_sums) + tail, err, count),
+                         pref, rel)
         if result.err <= cfg.tol:
             return result
+        # drift and abs_sum never fall, and a later err within tol is at
+        # least rel times its value, which lies within err + tol of this
+        # one; so once this floor passes tol no later checkpoint can
+        # certify, and only a falling err earns more terms
+        floor = abs(pref) * (2.0 * _EPS * drift + 4.0 * _EPS * abs_sum) \
+            + rel * (abs(result.value) - result.err - cfg.tol)
         if best is None or result.err < best.err:
             best = result
-        # a later err within tol is at least rel times its value, which is
-        # within tol of the true value, itself within err of this one; so
-        # if even that floor passes tol, only a falling err earns more terms
-        elif rel * (abs(result.value) - result.err - cfg.tol) > cfg.tol:
-            raise BudgetExceededError(
-                f"tolerance {cfg.tol:g} lies below the Gamma prefactor's rounding "
-                f"({rel * abs(result.value):.2g}); stopped after {count} terms",
-                EvalResult(best.value, best.err, count))
+        elif floor > cfg.tol:
+            why = (f"lies below the Gamma prefactor's rounding plus the "
+                   f"series' ({floor:.3g})")
+            break
 
     raise BudgetExceededError(
-        f"series tolerance {cfg.tol:g} not reached within {_TERM_BUDGET} terms",
+        f"series tolerance {cfg.tol:g} {why}; stopped after {count} terms",
         EvalResult(best.value, best.err, count))

@@ -68,6 +68,28 @@ class TestHyp3F2Command:
         (rec,) = records(p.stdout)
         assert abs(rec["value"] - 1.766233869657059933008) <= 1e-9
 
+    def test_terminating_series_over_tol_exits_1_with_best(self):
+        # the series ends at term 60, but its terms alternate, reach 2.2e25
+        # and cancel to 1.2e-3, so the rounding at that end is far above tol
+        p = run_cli("hyp3f2", "--a1", "-60", "--a2", "7/2", "--a3", "5/3",
+                    "--b1", "1/7", "--b2", "1/5")
+        assert p.returncode == 1
+        assert b"not reached; stopped after 61 terms" in p.stderr
+        (rec,) = records(p.stdout)
+        assert rec["effort"] == 61
+        assert rec["err"] > 1e-8
+
+    def test_near_miss_stops_before_the_budget(self):
+        # err is smallest, 1.0034e-12, at the 4096-term checkpoint and never
+        # falls below tol; the rounding floor passes tol at 8192 terms
+        p = run_cli("hyp3f2", "--a1", "22/19", "--a2", "17/19", "--a3", "1",
+                    "--b1", "23/19", "--b2", "36/19", "--tol", "1e-12")
+        assert p.returncode == 1
+        assert b"lies below the Gamma prefactor's rounding" in p.stderr
+        (rec,) = records(p.stdout)
+        assert rec["err"] > 1e-12
+        assert rec["effort"] < 524_289
+
     def test_max_terms_flag_exits_2(self):
         # the series term budget is fixed: no flag sets it
         p = run_cli("hyp3f2", "--a1", "1", "--a2", "1", "--a3", "1",
@@ -286,20 +308,16 @@ class TestDeterminismAndCache:
         b = run_cli("f-table", "--N", "13", "--format", "csv")
         assert a.stdout == b.stdout
 
-    def test_env_defaults_and_flag_override(self):
-        import os
-
-        env = dict(os.environ)
-        env["FERMATREG_TOL"] = "1e-4"
-        loose = run_cli("hyp3f2", "--a1", "1", "--a2", "1", "--a3", "1",
-                        "--b1", "2", "--b2", "2", env=env)
-        (rec_loose,) = records(loose.stdout)
-        assert rec_loose["err"] <= 1e-4
-        flag = run_cli("hyp3f2", "--a1", "1", "--a2", "1", "--a3", "1",
-                       "--b1", "2", "--b2", "2", "--tol", "1e-8", env=env)
-        plain = run_cli("hyp3f2", "--a1", "1", "--a2", "1", "--a3", "1",
-                        "--b1", "2", "--b2", "2")
-        assert flag.stdout == plain.stdout
+    def test_tol_environment_variable_is_not_read(self):
+        # --tol is the one way to set tol: no environment variable
+        # changes a byte of the output
+        argv = ("hyp3f2", "--a1", "1", "--a2", "1", "--a3", "1",
+                "--b1", "2", "--b2", "2")
+        plain = run_cli(*argv)
+        assert plain.returncode == 0
+        for value in ("1e-4", "abc"):
+            got = run_cli(*argv, env={**os.environ, "FERMATREG_TOL": value})
+            assert (got.returncode, got.stdout) == (0, plain.stdout), value
 
     def test_table_bits_equal_across_python_versions(self):
         versions = python_versions()
@@ -322,13 +340,11 @@ class TestDeterminismAndCache:
                 assert got.returncode == 0, (version, args, got.stderr)
                 assert got.stdout == want.stdout, (version, args)
 
-    def test_malformed_env_values_exit_2(self):
+    def test_malformed_tol_exits_2(self):
         p = run_cli("hyp3f2", "--a1", "1", "--a2", "1", "--a3", "1",
-                    "--b1", "2", "--b2", "2",
-                    env={**os.environ, "FERMATREG_TOL": "abc"})
+                    "--b1", "2", "--b2", "2", "--tol", "abc")
         assert p.returncode == 2, p.stderr
-        assert p.stderr.startswith(b"error: ")
-        assert b"FERMATREG_TOL" in p.stderr
+        assert b"--tol" in p.stderr
         assert b"Traceback" not in p.stderr
         assert p.stdout == b""
 

@@ -1,0 +1,78 @@
+"""Property tests of hyp3f2_unit's one exit rule: a result has err <= tol,
+and anything else raises BudgetExceededError."""
+
+from fractions import Fraction as Fr
+from math import prod
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from fermatreg.specialfn import (  # noqa: E402
+    BudgetExceededError,
+    EvalConfig,
+    Hyp3F2Params,
+    hyp3f2_unit,
+)
+
+TOLS = st.floats(-13.0, -8.0).map(lambda e: 10.0 ** e)
+
+
+def certified_or_raises(p: Hyp3F2Params, tol: float):
+    """hyp3f2_unit's result, or the best one its failure carries, each
+    checked against tol."""
+    try:
+        r = hyp3f2_unit(p, EvalConfig(tol))
+    except BudgetExceededError as exc:
+        # a checkpoint within tol would have been returned
+        assert exc.result.err > tol
+        return exc.result
+    assert r.err <= tol
+    return r
+
+
+@st.composite
+def script_f_sets(draw):
+    """3F2 parameters of a script-F term (a, j, b; N), N <= 101."""
+    N = draw(st.integers(3, 101))
+    a = draw(st.integers(1, N - 1))
+    b = draw(st.integers(1, N - 2))
+    b += b >= N - a  # every b in 1..N-1 but N - a
+    j = draw(st.integers(1, N))
+    return Hyp3F2Params(Fr(a + j, N), Fr(j, N), 1, Fr(a + b + j, N), Fr(j, N) + 1)
+
+
+@st.composite
+def terminating_sets(draw):
+    """3F2 parameters with the upper parameter -m, m <= 60, and positive
+    excess, so that the series ends by term m."""
+    m = draw(st.integers(0, 60))
+    uppers = st.fractions(-60, 60, max_denominator=101)
+    lowers = st.fractions(0, 60, max_denominator=101).filter(lambda q: q > 0)
+    a2, a3, b1, b2 = draw(uppers), draw(uppers), draw(lowers), draw(lowers)
+    hypothesis.assume(b1 + b2 + m - a2 - a3 > 0)
+    return Hyp3F2Params(-m, a2, a3, b1, b2)
+
+
+def exact_sum(p: Hyp3F2Params) -> Fr:
+    def rising(q, k):
+        return prod((q + i for i in range(k)), start=Fr(1))
+
+    m = int(-p.a1)
+    return sum(rising(p.a1, k) * rising(p.a2, k) * rising(p.a3, k)
+               / (rising(p.b1, k) * rising(p.b2, k) * rising(1, k))
+               for k in range(m + 1))
+
+
+@settings(max_examples=200)
+@given(script_f_sets(), TOLS)
+def test_script_f_sets_certify_or_raise(p, tol):
+    certified_or_raises(p, tol)
+
+
+@settings(max_examples=150)
+@given(terminating_sets(), TOLS)
+def test_terminating_sets_certify_or_raise_and_bound_the_exact_sum(p, tol):
+    r = certified_or_raises(p, tol)
+    assert abs(Fr(r.value) - exact_sum(p)) <= Fr(r.err)

@@ -173,6 +173,17 @@ class TestHyp3F2:
         r = hyp3f2_unit(p, CFG)
         assert abs(r.value - float(want)) <= 1e-14
 
+    def test_terminating_end_is_held_to_tol(self):
+        # the transform through 1 gives the upper parameter b1 - 1 = 0, so
+        # the new series is exactly 1, but the Gamma prefactor's rounding
+        # on the value ~20 is 1.19e-12
+        p = Hyp3F2Params(Fr(22, 23), Fr(20, 23), 1, 1, Fr(43, 23))
+        assert hyp3f2_unit(p, CFG).effort == 1
+        with pytest.raises(BudgetExceededError, match="not reached") as ei:
+            hyp3f2_unit(p, EvalConfig(tol=1e-12))
+        assert ei.value.result.effort == 1
+        assert 1e-12 < ei.value.result.err < 1.2e-12
+
     def test_degenerate_gauss_draws(self):
         rng = random.Random(20260819)
         for _ in range(20):
@@ -235,12 +246,17 @@ class TestHyp3F2:
         assert isinstance(best, EvalResult)
         assert abs(best.value - 1.766233869657059933008) <= best.err
 
-    def test_budget_failure_reports_terms_summed(self):
+    def test_budget_failure_reports_terms_summed(self, monkeypatch):
         # the best err is the 1024-term checkpoint's, but the effort is all
-        # 524 289 terms (k = 0..524 288) that were summed
+        # 131 073 terms (k = 0..131 072) summed until the rounding floor
+        # passed tol
         with pytest.raises(BudgetExceededError) as ei:
             hyp3f2_unit(SLOW_3F2, EvalConfig(tol=1e-13))
-        assert ei.value.result.effort == 524_289
+        assert ei.value.result.effort == 131_073
+        monkeypatch.setattr(specialfn, "_TERM_BUDGET", 1024)
+        with pytest.raises(BudgetExceededError) as early:
+            hyp3f2_unit(SLOW_3F2, EvalConfig(tol=1e-13))
+        assert early.value.result == (*ei.value.result[:2], 1025)
 
     def test_budget_failure_memory_stays_flat(self, monkeypatch):
         # the series keeps only the tail-fit terms and the sums of its
