@@ -38,8 +38,10 @@ zh = mu_half(1, 2, 13)
 print(f"mu_half(1,2) mod 13 = {zh:.6f}")
 print()
 
-# a wedge of two holomorphic forms spans a Hodge class exactly when the
-# two index triples {a, b, N-a-b} agree as multisets (prime N)
+# a wedge of two holomorphic forms spans a Hodge class exactly when every
+# unit t mod N makes both t(a, b) and t(c, d) holomorphic or neither; for
+# prime N, such as 13 here, that is when the triples {a, b, N-a-b} agree as
+# multisets
 pairs = [
     ((1, 4), (1, 8)),   # 1 + 4 + 8 = 13: shifted copy of itself
     ((1, 3), (1, 9)),

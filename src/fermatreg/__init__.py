@@ -7,7 +7,7 @@ The package has three layers:
   accelerated series with a fitted algebraic tail);
 * :mod:`fermatreg.fermat` -- eigenform indexing on the curve x^N + y^N = 1,
   period constants, the root-of-unity coefficients mu and mu_half, and the
-  Hodge-class predicate for prime N;
+  Hodge-class predicate (by type, for every N >= 3);
 * :mod:`fermatreg.regulator` -- the script-F building block, the holomorphic
   and mixed regulator pairings, the f(i, N) indecomposability statistic, and
   brute-force oracles (quadrature and series) that check the closed forms.

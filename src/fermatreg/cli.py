@@ -71,12 +71,10 @@ def _cmd_reg(args) -> int:
         raise DomainError("reg mixed requires --c and --d")
     rv = regulator.im_reg_mixed(args.N_a, args.N_b, args.N_c, args.N_d, args.N, cfg)
     inputs = {"N": args.N, "a": args.N_a, "b": args.N_b, "c": args.N_c, "d": args.N_d}
-    hodge = None
-    if fermat.is_prime(args.N) and args.N >= 5:
-        w = fermat.WedgeIndex(fermat.FormIndex(args.N, args.N_a, args.N_b),
-                              fermat.FormIndex(args.N, args.N_c, args.N_d))
-        hodge = fermat.is_hodge(w)
-    print(_record(inputs, rv.value, rv.err, _PAIRING_PROVENANCE, rv.effort, hodge=hodge))
+    w = fermat.WedgeIndex(fermat.FormIndex(args.N, args.N_a, args.N_b),
+                          fermat.FormIndex(args.N, args.N_c, args.N_d))
+    print(_record(inputs, rv.value, rv.err, _PAIRING_PROVENANCE, rv.effort,
+                  hodge=fermat.is_hodge(w)))
     return 0
 
 
@@ -142,16 +140,15 @@ def _cmd_f_table(args) -> int:
 def _cmd_hodge(args) -> int:
     N = args.N
     if args.list:
-        labels = [(a, b) for a in range(1, N) for b in range(1, N)
-                  if fermat.is_in_IN(a, b, N) and a + b < N]
+        if N < 3:
+            raise DomainError("modulus must be at least 3")
+        labels = [fermat.FormIndex(N, a, b) for a in range(1, N) for b in range(1, N - a)]
         count = 0
-        for idx1 in range(len(labels)):
-            for idx2 in range(idx1, len(labels)):
-                a, b = labels[idx1]
-                c, d = labels[idx2]
-                w = fermat.WedgeIndex(fermat.FormIndex(N, a, b), fermat.FormIndex(N, c, d))
-                if fermat.is_hodge(w):
-                    print(json.dumps({"inputs": {"N": N, "a": a, "b": b, "c": c, "d": d},
+        for idx1, first in enumerate(labels):
+            for second in labels[idx1:]:
+                if fermat.is_hodge(fermat.WedgeIndex(first, second)):
+                    print(json.dumps({"inputs": {"N": N, "a": first.a, "b": first.b,
+                                                 "c": second.a, "d": second.b},
                                       "hodge": True}))
                     count += 1
         print(f"listed {count} Hodge pairs for N={N}", file=sys.stderr)

@@ -4,8 +4,8 @@ Exponent pairs (a, b) with a, b, a+b all nonzero mod N label the eigenforms
 x^(a-1) y^(b-N) dx of the curve; the holomorphic ones satisfy a + b < N after
 reduction to {1, ..., N-1}.  This module provides the index arithmetic, the
 real period constants beta(a/N, b/N)/N, the root-of-unity coefficient mu that
-multiplies regulator pairings, and the Hodge-class test for wedge squares of
-holomorphic forms on prime-degree curves.
+multiplies regulator pairings, and the Hodge-class test for wedges of
+holomorphic forms, by type for every N >= 3.
 """
 
 import math
@@ -33,18 +33,7 @@ class UnsupportedModulusError(DomainError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def bracket(a: int, N: int) -> int:
@@ -158,15 +147,19 @@ def mu_half(a: int, b: int, N: int) -> complex:
 def is_hodge(w: WedgeIndex) -> bool:
     """Whether the wedge of the two eigenforms spans a Hodge class.
 
-    For prime N >= 5 the criterion is combinatorial: with (a, b) and (c, d)
-    the two labels, the multisets {a, b, N-a-b} and {c, d, N-c-d} must agree.
-    Composite or too-small moduli are refused: the multiset test is only
-    equivalent to the Hodge condition in the prime case.
+    The type criterion (Shioda, Math. Ann. 245, 1979; Koblitz-Rohrlich,
+    Canad. J. Math. 30, 1978): with (a, b) and (c, d) the two labels, for
+    every unit t mod N, t(a, b) is holomorphic exactly when t(c, d) is.
+    The units above N/2 add nothing: t -> N - t swaps holomorphic and
+    antiholomorphic.  For prime N this is the paper's test that the
+    multisets {a, b, N-a-b} and {c, d, N-c-d} agree; for composite N the
+    flag is this criterion, not a result of the paper.  A label (ga, gb)
+    mod gN gets the flag of (a, b) mod N, the curve it comes from.
     """
     N = w.N
-    if not is_prime(N) or N < 5:
-        raise UnsupportedModulusError(
-            f"Hodge classification implemented for prime N >= 5 only, got {N}")
-    t1 = sorted((w.first.a, w.first.b, N - w.first.a - w.first.b))
-    t2 = sorted((w.second.a, w.second.b, N - w.second.a - w.second.b))
-    return t1 == t2
+    a, b, c, d = w.first.a, w.first.b, w.second.a, w.second.b
+    for t in range(2, (N + 1) // 2):
+        if ((t * a % N + t * b % N < N) != (t * c % N + t * d % N < N)
+                and math.gcd(t, N) == 1):
+            return False
+    return True

@@ -46,7 +46,7 @@ class DomainError(ValueError):
 
 
 class DivergentParametersError(DomainError):
-    """Unit-argument series parameters with nonpositive excess."""
+    """Unit-argument series parameters with nonpositive excess and no end."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -129,9 +129,9 @@ class Hyp3F2Params(namedtuple("Hyp3F2Params", "a1 a2 a3 b1 b2")):
     Each parameter may be given as an int, a Fraction or a string such as
     ``"3/13"``, and is stored as a Fraction.  Lower parameters must avoid
     zero and the negative integers (series poles).  Convergence at unit
-    argument additionally requires positive excess ``b1+b2-a1-a2-a3``; that
-    is checked by :func:`hyp3f2_unit`, not here, so divergent parameter sets
-    remain representable.
+    argument additionally requires positive excess ``b1+b2-a1-a2-a3`` or
+    an end to the series; :func:`hyp3f2_unit` checks that, not this type,
+    so divergent parameter sets remain representable.
     """
 
     __slots__ = ()
@@ -432,10 +432,17 @@ def _integer_params(p: Hyp3F2Params) -> tuple[list[int], int, int, int, int]:
     D = math.lcm(*(q.denominator for q in fr))
     a1, a2, a3, b1, b2 = (q.numerator * (D // q.denominator) for q in fr)
     s = b1 + b2 - a1 - a2 - a3
-    if s <= 0:
+    if s <= 0 and _last_term([a1, a2, a3], D) is None:
         raise DivergentParametersError(
             f"excess {Fraction(s, D)} is not positive; the unit-argument series diverges")
     return [a1, a2, a3], b1, b2, s, D
+
+
+def _last_term(ups: list[int], D: int) -> int | None:
+    """m when an upper parameter is -m (numerators over D) with m within
+    the term budget, so that the series ends at term m; else None."""
+    ends = [-n // D for n in ups if n <= 0 and n % D == 0]
+    return min(ends) if ends and min(ends) <= _TERM_BUDGET else None
 
 
 def _thomae_pick(ups: list[int], b1: int, b2: int, s: int, D: int) -> int | None:
@@ -466,8 +473,8 @@ def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Evaluate 3F2(a1,a2,a3; b1,b2; 1) with a certified error bound.
 
     Raises :class:`DivergentParametersError` unless the parameter excess
-    ``s = b1+b2-a1-a2-a3`` is positive (or an upper parameter is zero,
-    which truncates the series to 1).
+    ``s = b1+b2-a1-a2-a3`` is positive or the series ends within the term
+    budget: an upper parameter -m, m <= 524 288, ends it at term m.
 
     Transform.  Thomae's relation (Bailey 1935, 3.2) gives, for an upper
     parameter ``a`` with the other two ``o1``, ``o2``,
@@ -530,11 +537,10 @@ def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
     ``rel`` bounds the relative error of ``pref``."""
     a1, a2, a3 = (n / D for n in ups)
     c1, c2 = b1 / D, b2 / D
-    # the series ends at term m when an upper parameter is -m; that end is
-    # its one checkpoint, where nothing is left for a tail to close
-    ends = [-n // D for n in ups if n <= 0 and n % D == 0]
-    last = min(ends) if ends else None
-    if last is not None and last <= _TERM_BUDGET:
+    # a series that ends has that end as its one checkpoint, where nothing
+    # is left for a tail to close
+    last = _last_term(ups, D)
+    if last is not None:
         checkpoints = [last]
     else:
         checkpoints = []

@@ -60,6 +60,14 @@ class TestHyp3F2Command:
                     "--b1", "1", "--b2", "2")
         assert p.returncode == 2
 
+    def test_terminating_series_with_negative_excess(self):
+        # excess -6, but the series ends at k = 2: 1 - 50 + 225
+        p = run_cli("hyp3f2", "--a1", "-2", "--a2", "5", "--a3", "5",
+                    "--b1", "1", "--b2", "1")
+        assert p.returncode == 0
+        (rec,) = records(p.stdout)
+        assert abs(rec["value"] - 176.0) <= rec["err"]
+
     def test_unreachable_tolerance_exits_1_with_best(self):
         p = run_cli("hyp3f2", "--a1", "3/13", "--a2", "1/13", "--a3", "1",
                     "--b1", "4/13", "--b2", "14/13", "--tol", "1e-30")
@@ -124,6 +132,14 @@ class TestRegCommand:
         (rec,) = records(p.stdout)
         assert abs(rec["value"] - 11.69084392681313) <= 1e-8
         assert rec["hodge"] is True
+
+    def test_mixed_prints_hodge_at_composite_modulus(self):
+        # {1, 1, 7} and {1, 3, 5} differ, yet t = 2 and 4 keep both labels
+        # holomorphic
+        p = run_cli("reg", "mixed", "--N", "9", "--a", "1", "--b", "1",
+                    "--c", "1", "--d", "3")
+        assert p.returncode == 0
+        assert b'"hodge": true' in p.stdout
 
     def test_invalid_label_exits_2(self):
         p = run_cli("reg", "holo", "--N", "5", "--a", "2", "--b", "4")
@@ -240,9 +256,18 @@ class TestHodgeCommand:
                     "--d", str(first["d"]))
         assert records(q.stdout)[0]["hodge"] is True
 
-    def test_non_prime_exits_2(self):
+    def test_composite_modulus_lists(self):
         p = run_cli("hodge", "--N", "9", "--list")
+        assert p.returncode == 0
+        assert len(records(p.stdout)) == 136
+        assert p.stderr == b"listed 136 Hodge pairs for N=9\n"
+
+    @pytest.mark.parametrize("N", ["2", "1", "0", "-4"])
+    def test_list_below_3_exits_2(self, N):
+        p = run_cli("hodge", "--N", N, "--list")
         assert p.returncode == 2
+        assert p.stdout == b""
+        assert p.stderr == b"error: modulus must be at least 3\n"
 
 
 VERIFY_PROPERTIES = [

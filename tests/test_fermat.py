@@ -5,12 +5,12 @@ precision arithmetic and rounded to the printed digits.
 """
 
 import math
+from itertools import permutations
 
 import pytest
 
 from fermatreg.fermat import (
     FormIndex,
-    UnsupportedModulusError,
     WedgeIndex,
     bracket,
     genus,
@@ -235,18 +235,22 @@ class TestHodge:
                     assert lhs == is_hodge(WedgeIndex(swapped, i2))
 
     def test_matches_multiset_definition(self):
-        for N in (5, 7, 11, 13, 17, 19, 23):
-            labels = [
-                FormIndex(N, a, b)
-                for a in range(1, N)
-                for b in range(1, N)
-                if is_in_IN(a, b, N) and a + b < N
-            ]
-            for i1 in labels:
-                t1 = sorted((i1.a, i1.b, N - i1.a - i1.b))
-                for i2 in labels:
-                    t2 = sorted((i2.a, i2.b, N - i2.a - i2.b))
-                    assert is_hodge(WedgeIndex(i1, i2)) == (t1 == t2), (i1, i2)
+        # every prime <= 101: true within each class of labels sharing the
+        # multiset {a, b, N-a-b}, false between the classes' representatives
+        for N in (n for n in range(5, 102) if is_prime(n)):
+            classes = [[FormIndex(N, a, b) for (a, b, _) in
+                        sorted(set(permutations((x, y, N - x - y))))]
+                       for x in range(1, N // 3 + 1)
+                       for y in range(x, (N - x) // 2 + 1)]
+            assert sum(map(len, classes)) == genus(N)
+            for cls in classes:
+                for i1 in cls:
+                    for i2 in cls:
+                        assert is_hodge(WedgeIndex(i1, i2)), (i1, i2)
+            reps = [cls[0] for cls in classes]
+            for k, r1 in enumerate(reps):
+                for r2 in reps[k + 1:]:
+                    assert not is_hodge(WedgeIndex(r1, r2)), (r1, r2)
 
     def test_one_i_family_characterization(self):
         # (1, i) pairs with (1, j) exactly when j = i or j = N - 1 - i
@@ -256,10 +260,23 @@ class TestHodge:
                     w = WedgeIndex(FormIndex(N, 1, i), FormIndex(N, 1, j))
                     assert is_hodge(w) == (j == i or j == N - 1 - i)
 
-    def test_non_prime_rejected(self):
-        for N in (4, 9, 15, 21):
-            with pytest.raises(UnsupportedModulusError):
-                is_hodge(WedgeIndex(FormIndex(N, 1, 1), FormIndex(N, 1, 1)))
+    def test_composite_modulus_beyond_the_multisets(self):
+        # {1, 1, 4} and {1, 2, 3} differ, but the units mod 6 are 1 and 5,
+        # and t = 5 makes both labels antiholomorphic
+        assert is_hodge(WedgeIndex(FormIndex(6, 1, 1), FormIndex(6, 1, 2)))
+        assert not is_hodge(WedgeIndex(FormIndex(7, 1, 1), FormIndex(7, 1, 2)))
+
+    def test_cover_invariance(self):
+        # a label (ga, gb) mod gN comes from (a, b) on the degree-N curve
+        for g in (2, 3):
+            for N in range(3, 12):
+                labels = [(a, b) for a in range(1, N) for b in range(1, N - a)]
+                for (a, b) in labels:
+                    for (c, d) in labels:
+                        w = WedgeIndex(FormIndex(N, a, b), FormIndex(N, c, d))
+                        wg = WedgeIndex(FormIndex(g * N, g * a, g * b),
+                                        FormIndex(g * N, g * c, g * d))
+                        assert is_hodge(wg) == is_hodge(w), (g, N, a, b, c, d)
 
 
 class TestPrime:
