@@ -168,8 +168,7 @@ def _cmd_verify(args) -> int:
     # imported here so that the other commands do not pay for it
     from . import verify
 
-    cfg = EvalConfig(args.tol)
-    results = verify.run_suite(args.suite, cfg)
+    results = verify.run_suite()
     for r in results:
         print(r.line())
     failures = sum(1 for r in results if not r.passed)
@@ -221,9 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hodge)
 
     p = sub.add_parser("verify", help="run invariant and oracle suites")
-    p.add_argument("--suite", choices=("special", "fermat", "regulator", "all"),
-                   default="all")
-    _add_cfg_flags(p)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -16,6 +16,7 @@ bitwise reproducible, across Python versions too.
 """
 
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 from fractions import Fraction
@@ -102,7 +103,7 @@ class EvalConfig(namedtuple("EvalConfig", "tol")):
         return super().__new__(cls, tol)
 
 
-def _as_fraction(x: int | Fraction | str | float) -> Fraction:
+def _as_fraction(x: int | Fraction | str) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -112,26 +113,19 @@ def _as_fraction(x: int | Fraction | str | float) -> Fraction:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"not a rational number: {x!r} ({exc})") from None
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise DomainError("parameters must be finite")
-        return Fraction(x)
     raise DomainError(f"cannot interpret {x!r} as an exact rational")
-
-
-def _is_nonpositive_integer(q: Fraction) -> bool:
-    return q.denominator == 1 and q.numerator <= 0
 
 
 class Hyp3F2Params(namedtuple("Hyp3F2Params", "a1 a2 a3 b1 b2")):
     """Exact-rational parameters (a1,a2,a3;b1,b2) of a 3F2 series at z=1.
 
-    Each parameter may be given as an int, a Fraction or a string such as
-    ``"3/13"``, and is stored as a Fraction.  Lower parameters must avoid
-    zero and the negative integers (series poles).  Convergence at unit
-    argument additionally requires positive excess ``b1+b2-a1-a2-a3`` or
-    an end to the series; :func:`hyp3f2_unit` checks that, not this type,
-    so divergent parameter sets remain representable.
+    Each parameter may be an int, a Fraction or a string such as ``"3/13"``
+    or ``"1e-5"`` (not a float), and is stored as a Fraction.  Lower
+    parameters must avoid zero and the negative integers (series poles),
+    and must not round to one as floats either (``"1e-400"`` rounds to 0).
+    Convergence at unit argument additionally requires positive excess
+    ``b1+b2-a1-a2-a3`` or an end to the series; :func:`hyp3f2_unit` checks
+    that, not this type, so divergent parameter sets remain representable.
     """
 
     __slots__ = ()
@@ -140,16 +134,14 @@ class Hyp3F2Params(namedtuple("Hyp3F2Params", "a1 a2 a3 b1 b2")):
     def __new__(cls, a1, a2, a3, b1, b2):
         self = super().__new__(cls, *map(_as_fraction, (a1, a2, a3, b1, b2)))
         for name in ("b1", "b2"):
-            if _is_nonpositive_integer(getattr(self, name)):
-                raise DomainError(f"{name} must not be zero or a negative integer")
+            b = getattr(self, name)
+            if b <= 0 and b.denominator == 1 or -2**53 < 2 * b < 1 and float(b) % 1 == 0:
+                raise DomainError(f"{name} is, or rounds to, 0 or a negative integer")
         return self
 
     @property
     def excess(self) -> Fraction:
         return self.b1 + self.b2 - self.a1 - self.a2 - self.a3
-
-    def uppers(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.a1, self.a2, self.a3)
 
 
 def beta(m: float, n: float) -> float:
@@ -240,7 +232,7 @@ def _call_integrand(f: Callable, x: float, xc: float):
     return fv
 
 
-def de_quadrature(f: Callable, cfg: EvalConfig) -> EvalResult:
+def de_quadrature(f: Callable, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Integrate f(x, 1 - x) over (0, 1) with the tanh-sinh rule.
 
     The callback receives each node x together with its complement
@@ -417,8 +409,8 @@ def algebraic_tail_sum(term: Callable[[int], float], k_top: int, s: float,
 
 # --- 3F2 at unit argument ---------------------------------------------------
 
-_FIRST_CHECKPOINT = 64  # tail fits at 64 * 2^m terms, up to the budget
-_TERM_BUDGET = 524_288  # series terms, 64 * 2^13: the last checkpoint
+_CHECKPOINTS = [64 * 2 ** m for m in range(14)]  # tail fits at 64 * 2^m terms
+_TERM_BUDGET = _CHECKPOINTS[-1]  # 524 288 series terms: the last checkpoint
 _BLOCK = 256            # terms per fsum block; only the block sums are kept
 
 
@@ -474,7 +466,9 @@ def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
 
     Raises :class:`DivergentParametersError` unless the parameter excess
     ``s = b1+b2-a1-a2-a3`` is positive or the series ends within the term
-    budget: an upper parameter -m, m <= 524 288, ends it at term m.
+    budget: an upper parameter -m, m <= 524 288, ends it at term m.  Raises
+    :class:`DomainError` when a series' first tail fit lies past the
+    budget, or its terms or sums leave the float range.
 
     Transform.  Thomae's relation (Bailey 1935, 3.2) gives, for an upper
     parameter ``a`` with the other two ``o1``, ``o2``,
@@ -486,16 +480,19 @@ def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     ties) is taken that exceeds ``s``, leaves every Gamma argument
     positive, and leaves ``b1-a`` and ``b2-a`` each above -1 or a
     nonpositive integer, so that the new terms cannot alternate while they
-    grow; with none, and for a series that ends by itself, the series is
-    summed directly.  The choice depends on the parameters alone, so
-    reruns are bit-identical.  Every script-F term qualifies through its
-    upper parameter 1 (its excess is b/N < 1) and is summed at excess at
-    least 1; Basel, 3F2(1,1,1; 2,2; 1), stays direct.
+    grow; with none, for a series that ends by itself, and when the
+    prefactor leaves the normal floats, the series is summed directly.
+    The choice depends on the parameters alone, so reruns are
+    bit-identical.  Every script-F term qualifies through its upper
+    parameter 1 (its excess is b/N < 1) and is summed at excess at least
+    1; Basel, 3F2(1,1,1; 2,2; 1), stays direct.
 
     Summation.  Terms are streamed in ascending order in blocks, each
     summed with ``math.fsum``; the algebraic tail is closed by
     :func:`algebraic_tail_sum` at checkpoints of 64, 128, 256, ... terms,
-    up to a fixed budget of 524 288 = 64 * 2^13 terms.  Every script-F
+    up to a fixed budget of 524 288 = 64 * 2^13 terms.  The tail model
+    expands in parameter / k, so the first checkpoint is the first that
+    is at least 8 times the largest parameter in size.  Every script-F
     term measured certifies the default tol within 129 terms, so the
     budget binds only at a tight tol or on a series that no transform
     speeds up.  A series with the upper parameter -m, m within the budget,
@@ -513,20 +510,28 @@ def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     below, the drift and sum rounding so far plus the prefactor's
     rounding, passes ``cfg.tol``.
     """
-    if any(a == 0 for a in p.uppers()):
+    if 0 in (p.a1, p.a2, p.a3):
         return EvalResult(1.0, 0.0, 1)
     ups, b1, b2, s, D = _integer_params(p)
     pick = _thomae_pick(ups, b1, b2, s, D)
-    if pick is None:
-        return _sum_series(ups, b1, b2, s, D, cfg)
-    a = ups[pick]
-    o1, o2 = ups[:pick] + ups[pick + 1:]
-    pref, rel = gamma_ratio((b1 / D, b2 / D, s / D),
-                            (a / D, (s + o1) / D, (s + o2) / D))
-    return _sum_series([b1 - a, b2 - a, s], s + o1, s + o2, a, D, cfg, pref, rel)
+    series = (ups, b1, b2, s, D, cfg)
+    if pick is not None:
+        a = ups[pick]
+        o1, o2 = ups[:pick] + ups[pick + 1:]
+        try:
+            pref, rel = gamma_ratio((b1 / D, b2 / D, s / D),
+                                    (a / D, (s + o1) / D, (s + o2) / D))
+        except OverflowError:
+            pref = 0.0
+        if pref >= sys.float_info.min:  # else rel bounds nothing: sum directly
+            series = ([b1 - a, b2 - a, s], s + o1, s + o2, a, D, cfg, pref, rel)
+    try:
+        return _sum_series(*series)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"the series leaves the float range ({exc})") from None
 
 
-def _hyp3f2_direct(p: Hyp3F2Params, cfg: EvalConfig) -> EvalResult:
+def _hyp3f2_direct(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """The untransformed series of :func:`hyp3f2_unit`, an independent check."""
     return _sum_series(*_integer_params(p), cfg)
 
@@ -535,19 +540,22 @@ def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
                 cfg: EvalConfig, pref: float = 1.0, rel: float = 0.0) -> EvalResult:
     """pref * 3F2(ups/D; b1/D, b2/D; 1), where s/D is the excess and
     ``rel`` bounds the relative error of ``pref``."""
-    a1, a2, a3 = (n / D for n in ups)
-    c1, c2 = b1 / D, b2 / D
     # a series that ends has that end as its one checkpoint, where nothing
     # is left for a tail to close
     last = _last_term(ups, D)
     if last is not None:
         checkpoints = [last]
     else:
-        checkpoints = []
-        K = _FIRST_CHECKPOINT
-        while K <= _TERM_BUDGET:
-            checkpoints.append(K)
-            K *= 2
+        # the tail model expands in parameter / k, so its first fit waits
+        # for k >= 8 |parameter|; this comes before any float is made
+        big = max(ups + [b1, b2], key=abs)
+        checkpoints = [K for K in _CHECKPOINTS
+                       if 8 * abs(big) <= K * D and K <= _TERM_BUDGET]
+        if not checkpoints:
+            raise DomainError(f"series parameter {Fraction(big, D)} needs a first tail "
+                              f"fit past the {_TERM_BUDGET}-term budget")
+    a1, a2, a3 = (n / D for n in ups)
+    c1, c2 = b1 / D, b2 / D
 
     block_sums: list[float] = []
     abs_sum = 1.0
@@ -570,6 +578,8 @@ def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
                 t *= (a1 + x) * (a2 + x) * (a3 + x) / ((c1 + x) * (c2 + x) * (x + 1.0))
                 x += 1.0
                 block.append(t)
+            if not math.isfinite(t):  # inf and nan persist to the block's end
+                raise DomainError(f"terms leave the float range by term {count + n - 1}")
             for k in wanted:
                 if count <= k < count + n:
                     nodes[k] = block[k - count]

@@ -2,6 +2,7 @@
 
 Each check returns its name, whether it passed, the measured discrepancy and
 the threshold it was held to, so the CLI can print one line per property.
+Every suite runs at the default ``EvalConfig()`` and takes no argument.
 The random draws are seeded, making every suite deterministic.
 """
 
@@ -44,7 +45,7 @@ _SCRIPT_F_3F2_REFS = {
 }
 
 
-def _special_checks(cfg: EvalConfig) -> list[CheckResult]:
+def _special_checks() -> list[CheckResult]:
     rng = random.Random(20260819)
     out = []
 
@@ -65,11 +66,11 @@ def _special_checks(cfg: EvalConfig) -> list[CheckResult]:
         worst = max(worst, abs(lhs - rhs) / lhs)
     out.append(_check("beta contiguous recurrence (relative)", worst, 1e-12))
 
-    basel = specialfn.hyp3f2_unit(Hyp3F2Params(1, 1, 1, 2, 2), cfg)
+    basel = specialfn.hyp3f2_unit(Hyp3F2Params(1, 1, 1, 2, 2))
     out.append(_check("unit-argument series vs pi^2/6",
                       abs(basel.value - math.pi ** 2 / 6.0), 1e-10))
 
-    trunc = specialfn.hyp3f2_unit(Hyp3F2Params(Fraction(1, 2), 0, 3, Fraction(1, 5), 7), cfg)
+    trunc = specialfn.hyp3f2_unit(Hyp3F2Params(Fraction(1, 2), 0, 3, Fraction(1, 5), 7))
     out.append(_check("zero upper parameter gives exactly 1",
                       abs(trunc.value - 1.0), 0.0))
 
@@ -79,29 +80,28 @@ def _special_checks(cfg: EvalConfig) -> list[CheckResult]:
         b = Fraction(rng.randrange(1, 40), rng.randrange(37, 60))
         c = a + b + Fraction(rng.randrange(5, 40), rng.randrange(5, 40))
         x = Fraction(rng.randrange(1, 30), rng.randrange(7, 30))
-        got = specialfn.hyp3f2_unit(Hyp3F2Params(a, b, x, c, x), cfg)
+        got = specialfn.hyp3f2_unit(Hyp3F2Params(a, b, x, c, x))
         want = specialfn.gauss_2f1_unit(float(a), float(b), float(c))
         worst = max(worst, abs(got.value - want))
     out.append(_check("degenerate (cancelling-parameter) Gauss closed form",
-                      worst, cfg.tol + 1e-12))
+                      worst, EvalConfig().tol + 1e-12))
 
     worst = 0.0
     for (a, j, b, N), ref in _SCRIPT_F_3F2_REFS.items():
         p = Hyp3F2Params(Fraction(a + j, N), Fraction(j, N), 1,
                          Fraction(a + b + j, N), Fraction(j, N) + 1)
-        r = specialfn.hyp3f2_unit(p, cfg)
+        r = specialfn.hyp3f2_unit(p)
         worst = max(worst, float(abs(Fraction(r.value) - Fraction(ref)) - Fraction(r.err)))
     out.append(_check("3F2 err honored against 30-digit references",
                       max(worst, 0.0), 0.0))
 
     # the untransformed series is a different series with the same sum
     worst = 0.0
-    direct_cfg = EvalConfig(tol=1e-8)
     for (a, j, b, N) in (*_SCRIPT_F_3F2_REFS, (95, 97, 1, 97)):
         p = Hyp3F2Params(Fraction(a + j, N), Fraction(j, N), 1,
                          Fraction(a + b + j, N), Fraction(j, N) + 1)
-        direct = specialfn._hyp3f2_direct(p, direct_cfg)
-        thomae = specialfn.hyp3f2_unit(p, direct_cfg)
+        direct = specialfn._hyp3f2_direct(p)
+        thomae = specialfn.hyp3f2_unit(p)
         worst = max(worst, abs(direct.value - thomae.value) - (direct.err + thomae.err))
     out.append(_check("Thomae-transformed and direct series agree within errs",
                       max(worst, 0.0), 0.0))
@@ -121,10 +121,10 @@ def _special_checks(cfg: EvalConfig) -> list[CheckResult]:
     out.append(_check("certified err honored against 10x tighter recomputation",
                       max(worst, 0.0), 0.0))
 
-    q = specialfn.de_quadrature(lambda x, xc: x ** (-0.5) * xc ** (-0.5), cfg)
+    q = specialfn.de_quadrature(lambda x, xc: x ** (-0.5) * xc ** (-0.5))
     out.append(_check("endpoint-singular quadrature vs pi",
                       abs(q.value - math.pi), 1e-10))
-    q = specialfn.de_quadrature(lambda x, xc: math.log(xc), cfg)
+    q = specialfn.de_quadrature(lambda x, xc: math.log(xc))
     out.append(_check("log-endpoint quadrature vs -1", abs(q.value + 1.0), 1e-8))
 
     return out
@@ -132,7 +132,7 @@ def _special_checks(cfg: EvalConfig) -> list[CheckResult]:
 
 # --- curve-constant checks --------------------------------------------------
 
-def _fermat_checks(cfg: EvalConfig) -> list[CheckResult]:
+def _fermat_checks() -> list[CheckResult]:
     out = []
 
     ok = True
@@ -210,20 +210,20 @@ def _fermat_checks(cfg: EvalConfig) -> list[CheckResult]:
 
 # --- regulator checks --------------------------------------------------------
 
-def _regulator_checks(cfg: EvalConfig) -> list[CheckResult]:
+def _regulator_checks() -> list[CheckResult]:
     out = []
 
-    f113 = regulator.script_F(1, 1, 1, 3, cfg)
+    f113 = regulator.script_F(1, 1, 1, 3)
     out.append(_check("script-F(1,1,1;3) frozen value",
-                      abs(f113.value - 1.2091995761561452), cfg.tol + 1e-12))
+                      abs(f113.value - 1.2091995761561452), EvalConfig().tol + 1e-12))
 
     worst = 0.0
     exact_zero = True
     for (a, b, N) in ((1, 2, 5), (2, 3, 7), (1, 4, 7)):
-        r1 = regulator.reg_holomorphic(a, b, N, cfg)
-        r2 = regulator.reg_holomorphic(b, a, N, cfg)
+        r1 = regulator.reg_holomorphic(a, b, N)
+        r2 = regulator.reg_holomorphic(b, a, N)
         worst = max(worst, abs(r1.value + r2.value))
-        if regulator.reg_holomorphic(a, a, N, cfg).value != 0.0:
+        if regulator.reg_holomorphic(a, a, N).value != 0.0:
             exact_zero = False
     out.append(_check("holomorphic pairing antisymmetry (exact)", worst, 0.0))
     out.append(_check("holomorphic pairing diagonal vanishing (exact)",
@@ -231,9 +231,9 @@ def _regulator_checks(cfg: EvalConfig) -> list[CheckResult]:
 
     worst = 0.0
     for (a, b, N) in ((1, 2, 5), (2, 3, 7)):
-        reg = regulator.reg_holomorphic(a, b, N, cfg)
-        lx = regulator.log_integral(a, b, N, "x", cfg)
-        ly = regulator.log_integral(a, b, N, "y", cfg)
+        reg = regulator.reg_holomorphic(a, b, N)
+        lx = regulator.log_integral(a, b, N, "x")
+        ly = regulator.log_integral(a, b, N, "y")
         per = fermat.period(fermat.FormIndex(N, a, b))
         worst = max(worst, abs(reg.value - 2.0 * (lx.value - ly.value) / per)
                     - (reg.err + 2.0 * (lx.err + ly.err) / per))
@@ -242,8 +242,8 @@ def _regulator_checks(cfg: EvalConfig) -> list[CheckResult]:
 
     worst = 0.0
     for (a, b, N) in ((1, 2, 5), (1, 1, 3), (2, 3, 7)):
-        s = regulator.oracle_series_sum(a, b, N, cfg)
-        lx = regulator.log_integral(a, b, N, "x", cfg)
+        s = regulator.oracle_series_sum(a, b, N)
+        lx = regulator.log_integral(a, b, N, "x")
         worst = max(worst, abs(s.value + lx.value) - (s.err + lx.err))
     out.append(_check("regrouped series equals -log integral within errs",
                       max(worst, 0.0), 0.0))
@@ -251,11 +251,11 @@ def _regulator_checks(cfg: EvalConfig) -> list[CheckResult]:
     swap_ok = True
     diag_ok = True
     for (a, b, c, d, N) in ((1, 2, 1, 4, 13), (1, 3, 1, 6, 17)):
-        v1 = regulator.im_reg_mixed(a, b, c, d, N, cfg).value
-        v2 = regulator.im_reg_mixed(c, d, a, b, N, cfg).value
+        v1 = regulator.im_reg_mixed(a, b, c, d, N).value
+        v2 = regulator.im_reg_mixed(c, d, a, b, N).value
         if v1 != -v2:
             swap_ok = False
-        if regulator.im_reg_mixed(a, b, a, b, N, cfg).value != 0.0:
+        if regulator.im_reg_mixed(a, b, a, b, N).value != 0.0:
             diag_ok = False
     out.append(_check("mixed pairing swap antisymmetry (exact)",
                       0.0 if swap_ok else 1.0, 0.0))
@@ -267,31 +267,31 @@ def _regulator_checks(cfg: EvalConfig) -> list[CheckResult]:
     for (i, N) in ((2, 13), (3, 17)):
         m1 = fermat.mu_half(1, i, N)
         m2 = fermat.mu_half(1, 2 * i, N)
-        g1 = regulator.script_F(2 * i, N - i, 1, N, cfg).value
-        g2 = regulator.script_F(i, i, 1, N, cfg).value
+        g1 = regulator.script_F(2 * i, N - i, 1, N).value
+        g2 = regulator.script_F(i, i, 1, N).value
         full = (2.0 * (m1 * g1 - m2 * g2)).imag
         imag_only = (2.0 * (complex(0, m1.imag) * g1 - complex(0, m2.imag) * g2)).imag
         worst = max(worst, abs(full - imag_only) / abs(full))
     out.append(_check("mixed pairing insensitive to mu real part (relative)",
                       worst, 1e-9))
 
-    f = regulator.f_indec(2, 13, cfg)
+    f = regulator.f_indec(2, 13)
     out.append(_check("f(2,13) against its printed reference",
                       abs(f.value - 0.0753593), 2e-6))
     out.append(_check("wedge ((1,2),(1,4)) mod 13 is not Hodge",
                       0.0 if not f.hodge else 1.0, 0.0))
 
-    pair_same = regulator.oracle_projector_pairing(1, 2, 1, 2, 5, cfg)
-    pair_off = regulator.oracle_projector_pairing(1, 2, 2, 1, 5, cfg)
+    pair_same = regulator.oracle_projector_pairing(1, 2, 1, 2, 5)
+    pair_off = regulator.oracle_projector_pairing(1, 2, 2, 1, 5)
     out.append(_check("projector pairing calibration: matching label gives 1",
                       abs(pair_same.value - 1.0), pair_same.err + 1e-8))
     out.append(_check("projector pairing calibration: mismatched label gives 0",
                       abs(pair_off.value), pair_off.err + 1e-8))
 
-    br = regulator.oracle_projector_integral(1, 2, 1, 1, 5, "y", cfg)
-    closed = -regulator.script_F(2, fermat.bracket(1 - 2, 5), 1, 5, cfg).value
+    br = regulator.oracle_projector_integral(1, 2, 1, 1, 5, "y")
+    closed = -regulator.script_F(2, fermat.bracket(1 - 2, 5), 1, 5).value
     out.append(_check("projector integral vs script-F closed form",
-                      abs(br.value - closed), br.err + cfg.tol + 1e-9))
+                      abs(br.value - closed), br.err + EvalConfig().tol + 1e-9))
 
     return out
 
@@ -303,13 +303,6 @@ SUITES = {
 }
 
 
-def run_suite(name: str, cfg: EvalConfig = EvalConfig()) -> list[CheckResult]:
-    """Run one named suite, or all of them, returning individual results."""
-    if name == "all":
-        results = []
-        for key in ("special", "fermat", "regulator"):
-            results.extend(SUITES[key](cfg))
-        return results
-    if name not in SUITES:
-        raise specialfn.DomainError(f"unknown suite {name!r}")
-    return SUITES[name](cfg)
+def run_suite() -> list[CheckResult]:
+    """The results of every suite of ``SUITES``, in order, at ``EvalConfig()``."""
+    return [r for suite in SUITES.values() for r in suite()]

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,11 @@ def run_cli(*args, env=None):
         env=env,
         timeout=300,
     )
+
+
+def hyp3f2_flags(params):
+    return [f for name, v in zip(("a1", "a2", "a3", "b1", "b2"), params)
+            for f in (f"--{name}", v)]
 
 
 def records(stdout_bytes):
@@ -97,6 +103,41 @@ class TestHyp3F2Command:
         (rec,) = records(p.stdout)
         assert rec["err"] > 1e-12
         assert rec["effort"] < 524_289
+
+    @pytest.mark.parametrize("params, ref", [
+        # the first tail fit waits for 2048 terms, 8 times the largest
+        # parameter; at 64 terms the value was 1.54e-7 off, 180 times its err
+        (("83", "81", "45", "187", "191"), "28561.9652605542875081831474802"),
+        # the Thomae prefactor overflows, so the series is summed directly
+        (("1200", "1", "1", "2", "2000"), "1.52745205726190270785548447724"),
+    ])
+    def test_large_parameters_certify_within_err(self, params, ref):
+        # references: term-by-term mpmath sums at 60 digits
+        p = run_cli("hyp3f2", *hyp3f2_flags(params))
+        assert p.returncode == 0
+        (rec,) = records(p.stdout)
+        assert abs(Fraction(rec["value"]) - Fraction(ref)) <= Fraction(rec["err"])
+
+    @pytest.mark.parametrize("params, message", [
+        # series that end beyond the term budget, or whose largest parameter
+        # puts the first tail fit past it
+        (("-600000", "1", "1", "2", "600010"), b"524288-term budget"),
+        (("-600000", "5", "5", "1", "1"), b"524288-term budget"),
+        (("600001", "1", "1", "1", "600005"), b"524288-term budget"),
+        (("1", "1", "1", "2", "1e400"), b"524288-term budget"),
+        (("1", "1", "1", "1e308", "1e308"), b"524288-term budget"),
+        # a lower parameter that rounds to the pole 0
+        (("1", "1", "1", "1e-400", "5"), b"b1 is, or rounds to, 0"),
+        # terms past the float range; the second's Thomae prefactor is too
+        (("-60000", "60000", "1", "1", "1"), b"leave the float range"),
+        (("40000", "40000", "40000", "60001", "60000"), b"leave the float range"),
+    ])
+    def test_out_of_range_parameters_exit_2(self, params, message):
+        p = run_cli("hyp3f2", *hyp3f2_flags(params))
+        assert p.returncode == 2
+        assert p.stderr.startswith(b"error: ") and message in p.stderr
+        assert b"Traceback" not in p.stderr
+        assert p.stdout == b""
 
     def test_max_terms_flag_exits_2(self):
         # the series term budget is fixed: no flag sets it
@@ -305,11 +346,13 @@ VERIFY_PROPERTIES = [
 
 
 class TestVerifyCommand:
-    def test_all_suites_pass(self):
-        p = run_cli("verify", "--suite", "special")
-        assert p.returncode == 0
-        out = p.stdout.decode()
-        assert "PASS" in out and "FAIL" not in out
+    @pytest.mark.parametrize("flag", [("--suite", "special"), ("--tol", "1e-6")])
+    def test_suite_and_tol_flags_exit_2(self, flag):
+        # verify runs every suite at the default tolerance: no flag selects either
+        p = run_cli("verify", *flag)
+        assert p.returncode == 2
+        assert flag[0].encode() in p.stderr
+        assert b"Traceback" not in p.stderr
 
     def test_full_run(self):
         p = run_cli("verify")

@@ -1,5 +1,6 @@
 """Property tests of hyp3f2_unit's one exit rule: a result has err <= tol,
-and anything else raises BudgetExceededError."""
+and anything else raises BudgetExceededError, or DomainError for
+parameters outside its domain."""
 
 from fractions import Fraction as Fr
 from math import prod
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from fermatreg.specialfn import (  # noqa: E402
     BudgetExceededError,
+    DomainError,
     EvalConfig,
     Hyp3F2Params,
     hyp3f2_unit,
@@ -75,3 +77,28 @@ def test_script_f_sets_certify_or_raise(p, tol):
 def test_terminating_sets_certify_or_raise_and_bound_the_exact_sum(p, tol):
     r = certified_or_raises(p, tol)
     assert abs(Fr(r.value) - exact_sum(p)) <= Fr(r.err)
+
+
+# parameters of either sign from 1e-400 to 10^6 in size, some within
+# 1e-400 of an integer, where floats round to poles or leave their range
+WIDE = st.one_of(
+    st.fractions(-60, 60, max_denominator=101),
+    st.integers(-10 ** 6, 10 ** 6),
+    st.builds(lambda m, e: Fr(m, 1000) * Fr(10) ** e,
+              st.integers(-999, 999), st.integers(-400, 6)),
+    st.builds(lambda n, m, e: n + Fr(m, 10 ** e),
+              st.integers(-5, 5), st.integers(-9, 9), st.integers(1, 400)),
+)
+
+
+@settings(max_examples=200)
+@given(st.tuples(WIDE, WIDE, WIDE, WIDE, WIDE), TOLS)
+def test_wide_sets_certify_or_raise_domain_or_budget_errors(params, tol):
+    try:
+        p = Hyp3F2Params(*params)
+    except DomainError:
+        return
+    try:
+        certified_or_raises(p, tol)
+    except DomainError:
+        pass

@@ -133,6 +133,17 @@ class TestParams:
             with pytest.raises(DomainError, match=repr(text)):
                 Hyp3F2Params(1, 1, text, 2, 2)
 
+    def test_float_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="exact rational"):
+            Hyp3F2Params(0.5, 1, 1, 2, 2)
+
+    def test_lower_that_rounds_to_a_pole(self):
+        # as floats these are 0 and -1, and the series would divide by zero
+        tiny = Fr(1, 10 ** 400)
+        for b in (tiny, "1e-400", tiny - 1):
+            with pytest.raises(DomainError, match="rounds to"):
+                Hyp3F2Params(1, 1, 1, b, 5)
+
 
 class TestHyp3F2:
     def test_basel(self):
@@ -321,6 +332,32 @@ class TestHyp3F2:
             r = hyp3f2_unit(p, CFG)
             assert r.err <= CFG.tol
             assert abs(Fr(r.value) - Fr(ref)) <= Fr(r.err)
+
+    # untransformed series with parameters far above the 64-term first
+    # checkpoint, whose tail model expands in parameter / k; made with
+    # mpmath 1.3.0 by summing term by term,
+    #     with mpmath.workdps(60):
+    #         a1, a2, a3, b1, b2 = map(mpmath.mpf, params)
+    #         t = want = mpmath.mpf(1)
+    #         k = 0
+    #         while k <= 10 or abs(t) >= mpmath.mpf(10) ** -65 * abs(want):
+    #             t *= (a1 + k) * (a2 + k) * (a3 + k) / ((b1 + k) * (b2 + k) * (k + 1))
+    #             k += 1
+    #             want += t
+    #         ref = mpmath.nstr(want, 30)
+    # and equal to the same sum at 40 digits
+    LARGE_PARAMETER_REFS = {
+        (83, 81, 45, 187, 191): "28561.9652605542875081831474802",
+        (13, 106, 116, 158, 193): "1095.45994359148154532180905096",
+        (8, 65, 55, 75, 129): "47.1578469689717737292106295745",
+    }
+
+    def test_large_parameters_honor_err(self):
+        # a first tail fit at 64 terms left these 180, 101 and 15 times
+        # their err off
+        for params, ref in self.LARGE_PARAMETER_REFS.items():
+            r = hyp3f2_unit(Hyp3F2Params(*params), CFG)
+            assert abs(Fr(r.value) - Fr(ref)) <= Fr(r.err), params
 
     def test_tol_below_prefactor_rounding_stops_early(self):
         # the prefactor's rounding alone is ~1e-13 here, so no checkpoint
