@@ -134,8 +134,8 @@ class Hyp3F2Params(namedtuple("Hyp3F2Params", "a1 a2 a3 b1 b2")):
     def __new__(cls, a1, a2, a3, b1, b2):
         self = super().__new__(cls, *map(_as_fraction, (a1, a2, a3, b1, b2)))
         for name in ("b1", "b2"):
-            b = getattr(self, name)
-            if b <= 0 and b.denominator == 1 or -2**53 < 2 * b < 1 and float(b) % 1 == 0:
+            n, d = getattr(self, name).as_integer_ratio()
+            if n <= 0 and d == 1 or -d << 53 < 2 * n < d and (n / d) % 1 == 0:
                 raise DomainError(f"{name} is, or rounds to, 0 or a negative integer")
         return self
 
@@ -232,7 +232,7 @@ def _call_integrand(f: Callable, x: float, xc: float):
     return fv
 
 
-def de_quadrature(f: Callable, cfg: EvalConfig = EvalConfig()) -> EvalResult:
+def de_quadrature(f: Callable, cfg: EvalConfig) -> EvalResult:
     """Integrate f(x, 1 - x) over (0, 1) with the tanh-sinh rule.
 
     The callback receives each node x together with its complement
@@ -531,7 +531,7 @@ def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
         raise DomainError(f"the series leaves the float range ({exc})") from None
 
 
-def _hyp3f2_direct(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
+def _hyp3f2_direct(p: Hyp3F2Params, cfg: EvalConfig) -> EvalResult:
     """The untransformed series of :func:`hyp3f2_unit`, an independent check."""
     return _sum_series(*_integer_params(p), cfg)
 

@@ -100,7 +100,7 @@ def _special_checks() -> list[CheckResult]:
     for (a, j, b, N) in (*_SCRIPT_F_3F2_REFS, (95, 97, 1, 97)):
         p = Hyp3F2Params(Fraction(a + j, N), Fraction(j, N), 1,
                          Fraction(a + b + j, N), Fraction(j, N) + 1)
-        direct = specialfn._hyp3f2_direct(p)
+        direct = specialfn._hyp3f2_direct(p, EvalConfig())
         thomae = specialfn.hyp3f2_unit(p)
         worst = max(worst, abs(direct.value - thomae.value) - (direct.err + thomae.err))
     out.append(_check("Thomae-transformed and direct series agree within errs",
@@ -121,10 +121,10 @@ def _special_checks() -> list[CheckResult]:
     out.append(_check("certified err honored against 10x tighter recomputation",
                       max(worst, 0.0), 0.0))
 
-    q = specialfn.de_quadrature(lambda x, xc: x ** (-0.5) * xc ** (-0.5))
+    q = specialfn.de_quadrature(lambda x, xc: x ** (-0.5) * xc ** (-0.5), EvalConfig())
     out.append(_check("endpoint-singular quadrature vs pi",
                       abs(q.value - math.pi), 1e-10))
-    q = specialfn.de_quadrature(lambda x, xc: math.log(xc))
+    q = specialfn.de_quadrature(lambda x, xc: math.log(xc), EvalConfig())
     out.append(_check("log-endpoint quadrature vs -1", abs(q.value + 1.0), 1e-8))
 
     return out

@@ -346,7 +346,8 @@ VERIFY_PROPERTIES = [
 
 
 class TestVerifyCommand:
-    @pytest.mark.parametrize("flag", [("--suite", "special"), ("--tol", "1e-6")])
+    @pytest.mark.parametrize("flag", [("--suite", "special"), ("--tol", "1e-6")],
+                             ids=["suite", "tol"])
     def test_suite_and_tol_flags_exit_2(self, flag):
         # verify runs every suite at the default tolerance: no flag selects either
         p = run_cli("verify", *flag)
