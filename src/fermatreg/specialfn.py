@@ -16,7 +16,6 @@ bitwise reproducible, across Python versions too.
 """
 
 import math
-import sys
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 from fractions import Fraction
@@ -134,6 +133,7 @@ class Hyp3F2Params(namedtuple("Hyp3F2Params", "a1 a2 a3 b1 b2")):
     def __new__(cls, a1, a2, a3, b1, b2):
         self = super().__new__(cls, *map(_as_fraction, (a1, a2, a3, b1, b2)))
         for name in ("b1", "b2"):
+            # floats below -2^53 are all integers, but lie past every term
             n, d = getattr(self, name).as_integer_ratio()
             if n <= 0 and d == 1 or -d << 53 < 2 * n < d and (n / d) % 1 == 0:
                 raise DomainError(f"{name} is, or rounds to, 0 or a negative integer")
@@ -409,7 +409,7 @@ def algebraic_tail_sum(term: Callable[[int], float], k_top: int, s: float,
 
 # --- 3F2 at unit argument ---------------------------------------------------
 
-_CHECKPOINTS = [64 * 2 ** m for m in range(14)]  # tail fits at 64 * 2^m terms
+_CHECKPOINTS = tuple(64 * 2 ** m for m in range(14))  # tail fits at 64 * 2^m terms
 _TERM_BUDGET = _CHECKPOINTS[-1]  # 524 288 series terms: the last checkpoint
 _BLOCK = 256            # terms per fsum block; only the block sums are kept
 
@@ -523,7 +523,7 @@ def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
                                     (a / D, (s + o1) / D, (s + o2) / D))
         except OverflowError:
             pref = 0.0
-        if pref >= sys.float_info.min:  # else rel bounds nothing: sum directly
+        if pref >= 2.0 ** -1022:  # rel bounds normal floats only; else sum directly
             series = ([b1 - a, b2 - a, s], s + o1, s + o2, a, D, cfg, pref, rel)
     try:
         return _sum_series(*series)
@@ -546,8 +546,8 @@ def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
     if last is not None:
         checkpoints = [last]
     else:
-        # the tail model expands in parameter / k, so its first fit waits
-        # for k >= 8 |parameter|; this comes before any float is made
+        # the tail model expands in parameter / k: its first fit waits for
+        # k >= 8 |parameter|, and a huge one is refused before it is a float
         big = max(ups + [b1, b2], key=abs)
         checkpoints = [K for K in _CHECKPOINTS
                        if 8 * abs(big) <= K * D and K <= _TERM_BUDGET]

@@ -105,8 +105,7 @@ class TestHyp3F2Command:
         assert rec["effort"] < 524_289
 
     @pytest.mark.parametrize("params, ref", [
-        # the first tail fit waits for 2048 terms, 8 times the largest
-        # parameter; at 64 terms the value was 1.54e-7 off, 180 times its err
+        # the first tail fit waits for 2048 terms, 8 times the largest parameter
         (("83", "81", "45", "187", "191"), "28561.9652605542875081831474802"),
         # the Thomae prefactor overflows, so the series is summed directly
         (("1200", "1", "1", "2", "2000"), "1.52745205726190270785548447724"),

@@ -353,8 +353,6 @@ class TestHyp3F2:
     }
 
     def test_large_parameters_honor_err(self):
-        # a first tail fit at 64 terms left these 180, 101 and 15 times
-        # their err off
         for params, ref in self.LARGE_PARAMETER_REFS.items():
             r = hyp3f2_unit(Hyp3F2Params(*params), CFG)
             assert abs(Fr(r.value) - Fr(ref)) <= Fr(r.err), params
