@@ -12,8 +12,11 @@ The package has three layers:
   and mixed regulator pairings, the f(i, N) indecomposability statistic, and
   brute-force oracles (quadrature and series) that check the closed forms.
 
-Everything is deterministic: fixed summation orders, seeded self-checks, no
-global mutable state.
+Everything is deterministic: fixed summation orders and seeded self-checks.
+The one global state, ``mu``'s least-recently-used cache of at most 32
+tables of 1 - exp(2 pi i k/N), one per modulus N and 8 KB at N = 202 (so at
+most 260 KB there), cannot change a result: a table holds the very floats
+that a call without it computes, by the same expression.
 """
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ holomorphic forms, by type for every N >= 3.
 
 import math
 from collections import namedtuple
+from functools import lru_cache
 
 from .specialfn import DomainError, _validated_make, beta
 
@@ -115,18 +116,26 @@ def _cis(num: int, den: int) -> complex:
     return complex(math.cos(th), math.sin(th))
 
 
+# a table holds N complex numbers, about 40 bytes each: 8 KB at N = 202,
+# mu_half's largest modulus in the self-check, so at most 260 KB in all
+@lru_cache(maxsize=32)
+def _one_minus_roots(N: int) -> tuple[complex, ...]:
+    """1 - exp(2*pi*i * k/N) for k = 0, ..., N-1, each computed by _cis."""
+    return tuple([1.0 - _cis(k, N) for k in range(N)])
+
+
 def mu(a: int, b: int, N: int) -> complex:
     """Coefficient N^2 (1-z^a)(1-z^b)/(1-z^(a+b)) with z = exp(2*pi*i/N).
 
     Purely imaginary: mu = -2 N^2 sin(pi a/N) sin(pi b/N) / sin(pi (a+b)/N) * i
     for reduced a, b.  Requires (a, b) in the index set; in particular the
-    denominator must not vanish (a + b != 0 mod N).
+    denominator must not vanish (a + b != 0 mod N).  The factors 1 - z^k
+    come from a table of all N of them, built at a modulus's first call.
     """
     if not is_in_IN(a, b, N):
         raise DomainError(f"({a}, {b}) is not an eigenform index mod {N}")
-    num = (1.0 - _cis(a, N)) * (1.0 - _cis(b, N))
-    den = 1.0 - _cis(a + b, N)
-    return N * N * num / den
+    w = _one_minus_roots(N)
+    return N * N * (w[a % N] * w[b % N]) / w[(a + b) % N]
 
 
 def mu_half(a: int, b: int, N: int) -> complex:

@@ -414,6 +414,23 @@ _TERM_BUDGET = _CHECKPOINTS[-1]  # 524 288 series terms: the last checkpoint
 _BLOCK = 256            # terms per fsum block; only the block sums are kept
 
 
+def _short(q: Fraction) -> str:
+    """``q`` as written while its numerator and denominator fit in 64 bits,
+    else its sign, six leading digits and power of ten, found in exact
+    arithmetic (a float would overflow, and str() of a long int raises)."""
+    x = abs(q)
+    if max(x.numerator, x.denominator).bit_length() <= 64:
+        return str(q)
+    # the bit lengths put log10(x) within 1 of this
+    e = math.floor((x.numerator.bit_length() - x.denominator.bit_length()) * math.log10(2))
+    while x >= Fraction(10) ** (e + 1):
+        e += 1
+    while x < Fraction(10) ** e:
+        e -= 1
+    lead = int(x * 10 ** 5 / Fraction(10) ** e)
+    return f"{'-' if q < 0 else ''}{lead // 10 ** 5}.{lead % 10 ** 5:05d}e{e:+d}"
+
+
 def _integer_params(p: Hyp3F2Params) -> tuple[list[int], int, int, int, int]:
     """The parameters over their least common denominator D.
 
@@ -426,7 +443,7 @@ def _integer_params(p: Hyp3F2Params) -> tuple[list[int], int, int, int, int]:
     s = b1 + b2 - a1 - a2 - a3
     if s <= 0 and _last_term([a1, a2, a3], D) is None:
         raise DivergentParametersError(
-            f"excess {Fraction(s, D)} is not positive; the unit-argument series diverges")
+            f"excess {_short(Fraction(s, D))} is not positive; the unit-argument series diverges")
     return [a1, a2, a3], b1, b2, s, D
 
 
@@ -441,21 +458,15 @@ def _thomae_pick(ups: list[int], b1: int, b2: int, s: int, D: int) -> int | None
     """Index of the upper parameter the Thomae transform of
     :func:`hyp3f2_unit` uses, or None to sum directly; all arguments are
     numerators over the common denominator D."""
-    def ends(n: int) -> bool:
-        return n <= 0 and n % D == 0
-
-    def tame(n: int) -> bool:
-        # an upper parameter above -1 flips the sign of the terms at most
-        # once; a nonpositive integer ends the series.  Anything else lets
-        # terms alternate while they grow, and their sum cancels
-        return n > -D or ends(n)
-
-    if b1 <= 0 or b2 <= 0 or any(map(ends, ups)):
+    if b1 <= 0 or b2 <= 0 or any(n <= 0 and n % D == 0 for n in ups):
         return None  # a terminating series is kept exact
     pick = None
     for i, a in enumerate(ups):
         o1, o2 = ups[:i] + ups[i + 1:]
-        if (a > s and s + o1 > 0 and s + o2 > 0 and tame(b1 - a) and tame(b2 - a)
+        # a new upper parameter above -1 flips the sign of the terms at most
+        # once (0 ends the series at 1).  Below that the terms alternate
+        # while they grow, and their sum cancels, even when they end at -m
+        if (a > s and s + o1 > 0 and s + o2 > 0 and b1 - a > -D and b2 - a > -D
                 and (pick is None or a > ups[pick])):
             pick = i
     return pick
@@ -478,10 +489,11 @@ def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
 
     a series of excess ``a``.  The largest upper parameter (the first on
     ties) is taken that exceeds ``s``, leaves every Gamma argument
-    positive, and leaves ``b1-a`` and ``b2-a`` each above -1 or a
-    nonpositive integer, so that the new terms cannot alternate while they
-    grow; with none, for a series that ends by itself, and when the
-    prefactor leaves the normal floats, the series is summed directly.
+    positive, and leaves ``b1-a`` and ``b2-a`` each above -1, so that the
+    new terms cannot alternate while they grow (a target that ends at a
+    term m >= 1 can still cancel); with none, for a series that ends by
+    itself, and when the prefactor leaves the normal floats, the series is
+    summed directly.
     The choice depends on the parameters alone, so reruns are
     bit-identical.  Every script-F term qualifies through its upper
     parameter 1 (its excess is b/N < 1) and is summed at excess at least
@@ -552,7 +564,7 @@ def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
         checkpoints = [K for K in _CHECKPOINTS
                        if 8 * abs(big) <= K * D and K <= _TERM_BUDGET]
         if not checkpoints:
-            raise DomainError(f"series parameter {Fraction(big, D)} needs a first tail "
+            raise DomainError(f"series parameter {_short(Fraction(big, D))} needs a first tail "
                               f"fit past the {_TERM_BUDGET}-term budget")
     a1, a2, a3 = (n / D for n in ups)
     c1, c2 = b1 / D, b2 / D

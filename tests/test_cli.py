@@ -117,6 +117,25 @@ class TestHyp3F2Command:
         (rec,) = records(p.stdout)
         assert abs(Fraction(rec["value"]) - Fraction(ref)) <= Fraction(rec["err"])
 
+    def test_target_that_ends_past_term_zero_certifies(self):
+        # the transform through 600 would end at term 598 after cancelling
+        # terms of size e^655; the direct series certifies instead.
+        # Reference: mpmath 1.3.0 summing term by term at 40 and 60 digits
+        p = run_cli("hyp3f2", *hyp3f2_flags(("600", "1", "1", "2", "1000")))
+        assert p.returncode == 0
+        (rec,) = records(p.stdout)
+        assert rec["err"] <= 1e-8
+        assert abs(Fraction(rec["value"]) - Fraction("1.52775313556671793116814064035")) \
+            <= Fraction(rec["err"])
+
+    @pytest.mark.parametrize("b2, short", [("1e400", b"1.00000e+400"),
+                                           ("1e5000", b"1.00000e+5000")])
+    def test_huge_parameter_is_named_briefly(self, b2, short):
+        p = run_cli("hyp3f2", *hyp3f2_flags(("1", "1", "1", "2", b2)))
+        assert p.returncode == 2
+        assert p.stderr.startswith(b"error: series parameter " + short + b" ")
+        assert p.stderr.count(b"\n") == 1 and len(p.stderr) < 100
+
     @pytest.mark.parametrize("params, message", [
         # series that end beyond the term budget, or whose largest parameter
         # puts the first tail fit past it

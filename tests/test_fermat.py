@@ -9,6 +9,7 @@ from itertools import permutations
 
 import pytest
 
+from fermatreg import fermat
 from fermatreg.fermat import (
     FormIndex,
     WedgeIndex,
@@ -165,6 +166,40 @@ class TestMu:
             mu(3, 1, 3)
         with pytest.raises(DomainError):
             mu(1, 2, 3)  # a + b = 0 mod 3
+
+    def test_same_bits_as_the_root_expression(self):
+        # mu's expression, written out with a root per factor, on every
+        # label: the per-modulus table must give it bit for bit
+        def cis(num, den):
+            th = 2.0 * math.pi * (num % den) / den
+            return complex(math.cos(th), math.sin(th))
+
+        for N in range(3, 61):
+            for a in range(1, N):
+                for b in range(1, N):
+                    if a + b == N:
+                        continue
+                    num = (1.0 - cis(a, N)) * (1.0 - cis(b, N))
+                    want = N * N * num / (1.0 - cis(a + b, N))
+                    assert repr(mu(a, b, N)) == repr(want), (a, b, N)
+                    assert repr(mu(a + N, b - 2 * N, N)) == repr(want), (a, b, N)
+
+    def test_cache_does_not_change_a_value(self):
+        labels = [(a, b, N) for N in (5, 13, 50) for a in range(1, N)
+                  for b in range(1, N) if a + b != N]
+        first = [repr(mu(*label)) for label in labels]
+        fermat._one_minus_roots.cache_clear()
+        assert [repr(mu(*label)) for label in labels] == first
+        for N in range(3, 200):  # evicts the tables of the labels' moduli
+            mu(1, 1, N)
+        assert [repr(mu(*label)) for label in labels] == first
+
+    def test_cache_is_bounded(self):
+        maxsize = fermat._one_minus_roots.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 64
+        for N in range(3, 3 + 2 * maxsize):
+            mu(1, 1, N)
+        assert fermat._one_minus_roots.cache_info().currsize == maxsize
 
 
 class TestMuHalf:

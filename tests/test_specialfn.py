@@ -317,6 +317,30 @@ class TestHyp3F2:
             assert _thomae_pick(*_integer_params(p)) is None
             assert hyp3f2_unit(p, CFG) == _hyp3f2_direct(p, CFG)
 
+    def test_target_that_ends_past_term_zero_is_summed_directly(self):
+        # the transform through 600 has the upper parameter 2 - 600: its
+        # terms alternate and cancel under a prefactor of about e^655, and
+        # end at term 598.  Reference: mpmath 1.3.0 summing term by term at
+        # 40 and 60 digits
+        p = Hyp3F2Params(600, 1, 1, 2, 1000)
+        assert _thomae_pick(*_integer_params(p)) is None
+        r = hyp3f2_unit(p, CFG)
+        assert r.err <= CFG.tol
+        assert abs(Fr(r.value) - Fr("1.52775313556671793116814064035")) <= Fr(r.err)
+        # a target that ends at term 0, with the series exactly 1, is taken
+        ups, b1, b2, s, D = _integer_params(script_f_params(1, 2, 2, 5))
+        pick = _thomae_pick(ups, b1, b2, s, D)
+        assert pick is not None and b1 - ups[pick] == 0
+
+    def test_refusal_writes_a_huge_parameter_briefly(self):
+        # sign, six leading digits and the power of ten, not all 401 or 5001
+        # digits (past 4300 digits, str() of the integer raises)
+        for params, short in (((1, 1, 1, 2, "1e400"), "1.00000e+400"),
+                              ((1, 1, "-7e5000", 2, 2), "-7.00000e+5000")):
+            with pytest.raises(DomainError, match="term budget") as ei:
+                hyp3f2_unit(Hyp3F2Params(*params), CFG)
+            assert short in str(ei.value) and len(str(ei.value)) < 100
+
     def test_non_script_f_sets_honor_err(self):
         # the first is summed directly at excess 1; the second directly at
         # excess 197 and the third at excess 180 after the transform
