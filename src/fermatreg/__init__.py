@@ -14,9 +14,10 @@ The package has three layers:
 
 Everything is deterministic: fixed summation orders and seeded self-checks.
 The one global state, ``mu``'s least-recently-used cache of at most 32
-tables of 1 - exp(2 pi i k/N), one per modulus N and 8 KB at N = 202 (so at
-most 260 KB there), cannot change a result: a table holds the very floats
-that a call without it computes, by the same expression.
+tables of 1 - exp(2 pi i k/N), one per modulus N <= 202 (at most 8 KB each,
+so at most 260 KB in all; above N = 202 ``mu`` computes its three factors
+per call), cannot change a result: a table holds the very floats that a
+call without it computes, by the same expression.
 """
 
 __version__ = "0.1.0"

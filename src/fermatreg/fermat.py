@@ -116,8 +116,12 @@ def _cis(num: int, den: int) -> complex:
     return complex(math.cos(th), math.sin(th))
 
 
-# a table holds N complex numbers, about 40 bytes each: 8 KB at N = 202,
-# mu_half's largest modulus in the self-check, so at most 260 KB in all
+# moduli up to this one keep a cached table: mu_half's 2N for N <= 101,
+# which covers the self-check, the tests and the benchmark.  A table takes
+# ~40 bytes per root, so at most 8 KB, and the 32 tables at most 260 KB
+_TABLE_MAX_N = 202
+
+
 @lru_cache(maxsize=32)
 def _one_minus_roots(N: int) -> tuple[complex, ...]:
     """1 - exp(2*pi*i * k/N) for k = 0, ..., N-1, each computed by _cis."""
@@ -129,11 +133,18 @@ def mu(a: int, b: int, N: int) -> complex:
 
     Purely imaginary: mu = -2 N^2 sin(pi a/N) sin(pi b/N) / sin(pi (a+b)/N) * i
     for reduced a, b.  Requires (a, b) in the index set; in particular the
-    denominator must not vanish (a + b != 0 mod N).  The factors 1 - z^k
-    come from a table of all N of them, built at a modulus's first call.
+    denominator must not vanish (a + b != 0 mod N).  Up to N = 202 the
+    factors 1 - z^k come from a table of all N of them, built at a
+    modulus's first call; above it each call computes its three factors by
+    the same expression, so a value has the same bits either way.
     """
-    if not is_in_IN(a, b, N):
+    # is_in_IN, written out: this runs ~13 000 times in the self-check
+    if N < 3:
+        raise DomainError("modulus must be at least 3")
+    if not (a % N and b % N and (a + b) % N):
         raise DomainError(f"({a}, {b}) is not an eigenform index mod {N}")
+    if N > _TABLE_MAX_N:
+        return N * N * ((1.0 - _cis(a, N)) * (1.0 - _cis(b, N))) / (1.0 - _cis(a + b, N))
     w = _one_minus_roots(N)
     return N * N * (w[a % N] * w[b % N]) / w[(a + b) % N]
 

@@ -218,6 +218,9 @@ def f_indec(i: int, N: int, cfg: EvalConfig = EvalConfig()) -> FIndecResult:
 
 # --- oracles ----------------------------------------------------------------
 
+_SERIES_CHECKPOINTS = tuple(1024 * 2 ** m for m in range(6))  # 1024 ... 32768
+
+
 def oracle_series_sum(a: int, b: int, N: int,
                       cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """sum_{j>=1} B((a+j)/N, b/N) / (j N) by direct summation.
@@ -230,43 +233,72 @@ def oracle_series_sum(a: int, b: int, N: int,
     defect shrinks by ~2^(4+s) between the fits, so their gap over-covers
     the reported value's error by an order of magnitude.
 
-    The K = 32768 terms are built per residue class
-    j = r (mod N): B((a+r)/N, b/N) comes from :func:`gamma_ratio` with its
-    relative bound, and each step j -> j + N applies the exact recurrence
+    The terms are built per residue class j = r (mod N):
+    B((a+r)/N, b/N) comes from :func:`gamma_ratio` with its relative
+    bound, and each step j -> j + N applies the exact recurrence
     B(m+1, n) = B(m, n) m/(m+n), where m/(m+n) is the ratio of ints
     (a+j)/(a+b+j), rounded once.  The ratio, the product and the final
-    division by j N round once each, so every term is charged the Gamma
-    ratio's bound plus 2 eps (K//N + 2).  That charge is the tail fit's
-    ``rel_noise`` and enters ``err`` on the summed value.
+    division by j N round once each, so with K terms every term is charged
+    the Gamma ratio's bound plus 2 eps (K//N + 2).  That charge is the tail
+    fit's ``rel_noise`` and enters ``err`` on the summed value.
+
+    So ``err`` is U-shaped in K: the tail defect falls with K, but the
+    charge per term grows with it.  K runs through the checkpoints
+    1024 * 2^m up to 32768, all on :func:`hyp3f2_unit`'s grid of tail
+    fits, and each checkpoint continues every class's recurrence where the
+    last one stopped, so the first K terms have the same bits whatever
+    checkpoint the search reaches.  The search stops at the first
+    checkpoint whose err is not below the previous one's and returns the
+    smallest-err result; ``effort`` counts every term built.  If that err
+    exceeds cfg.tol, :class:`BudgetExceededError` names the label, the err
+    and its K, and carries that result.
     """
     _, a_r, b_r = FormIndex(N, a, b)
-    K = 32768  # 64 * 2^9, so both tail fits sit on hyp3f2_unit's checkpoint grid
-    terms = [0.0] * K
-    rel = 0.0
-    for r in range(1, min(N, K) + 1):
-        beta_r, rel0 = gamma_ratio(((a_r + r) / N, b_r / N), ((a_r + b_r + r) / N,))
-        rel = max(rel, rel0)
-        # B at j + N from B at j, for j = r, r + N, ... up to K - N
-        steps = map(truediv, range(a_r + r, a_r + K - N + 1, N),
-                    range(a_r + b_r + r, a_r + b_r + K - N + 1, N))
-        terms[r - 1::N] = map(truediv, accumulate(steps, mul, initial=beta_r),
-                              range(r * N, K * N + 1, N * N))
-    rel += 2.0 * _EPS * (K // N + 2)
     s = b_r / N
+    terms = []
+    last = {}  # residue class r -> B((a+j)/N, b/N) at the class's last j built
+    beta_rel = 0.0
 
     def completed(k_top: int) -> tuple[float, float]:
         tail, model_err = algebraic_tail_sum(
             lambda k: terms[k - 1], k_top, s, rel_noise=rel)
         return math.fsum(terms[:k_top]) + tail, model_err
 
-    half, _ = completed(K // 2)
-    value, model_err = completed(K)
-    err = (abs(value - half) + model_err + (rel + 4.0 * _EPS) * abs(value)
-           + 1e-18)
-    result = EvalResult(value, err, K)
+    best = half = None
+    for K in _SERIES_CHECKPOINTS:
+        built = len(terms)
+        terms += [0.0] * (K - built)
+        for r in range(1, min(N, K) + 1):
+            if r <= built:  # restart at the class's last term; it gets the same bits
+                j = r + (built - r) // N * N
+                beta_j = last[r]
+            else:
+                j = r
+                beta_j, rel0 = gamma_ratio(((a_r + r) / N, b_r / N),
+                                           ((a_r + b_r + r) / N,))
+                beta_rel = max(beta_rel, rel0)
+            # B at j + N from B at j, up to K
+            steps = map(truediv, range(a_r + j, a_r + K - N + 1, N),
+                        range(a_r + b_r + j, a_r + b_r + K - N + 1, N))
+            betas = list(accumulate(steps, mul, initial=beta_j))
+            last[r] = betas[-1]
+            terms[j - 1::N] = map(truediv, betas, range(j * N, K * N + 1, N * N))
+        rel = beta_rel + 2.0 * _EPS * (K // N + 2)
+        if half is None:
+            half, _ = completed(K // 2)
+        value, model_err = completed(K)
+        err = (abs(value - half) + model_err + (rel + 4.0 * _EPS) * abs(value)
+               + 1e-18)
+        if best is not None and err >= best[1]:
+            break
+        best = value, err, K
+        half = value  # the next checkpoint's half point is this one
+    value, err, K = best
+    result = EvalResult(value, err, len(terms))
     if err > cfg.tol:
         raise BudgetExceededError(
-            f"series tolerance {cfg.tol:g} not reached with {K} terms", result)
+            f"series oracle ({a_r}, {b_r}; {N}): tolerance {cfg.tol:g} not reached; "
+            f"smallest err {err:.3g} at K = {K} of {len(terms)} terms", result)
     return result
 
 

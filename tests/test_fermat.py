@@ -184,6 +184,42 @@ class TestMu:
                     assert repr(mu(a, b, N)) == repr(want), (a, b, N)
                     assert repr(mu(a + N, b - 2 * N, N)) == repr(want), (a, b, N)
 
+    def test_modulus_below_3_is_a_domain_error(self):
+        for N in (-4, 0, 1, 2):
+            with pytest.raises(DomainError, match="at least 3"):
+                mu(1, 1, N)
+
+    def test_large_modulus_builds_no_table(self):
+        # above the table bound the three factors are computed per call,
+        # by the same expression, so the bits match and memory stays flat
+        import tracemalloc
+
+        def cis(num, den):
+            th = 2.0 * math.pi * (num % den) / den
+            return complex(math.cos(th), math.sin(th))
+
+        N = 10 ** 6
+        tracemalloc.start()
+        try:
+            got = mu(1, 2, N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        want = N * N * ((1.0 - cis(1, N)) * (1.0 - cis(2, N))) / (1.0 - cis(3, N))
+        assert repr(got) == repr(want)
+        for N in (fermat._TABLE_MAX_N, fermat._TABLE_MAX_N + 1):
+            for (a, b) in ((1, 1), (1, N - 2), (N // 2, N // 3 + 1), (N - 1, N - 1)):
+                num = (1.0 - cis(a, N)) * (1.0 - cis(b, N))
+                want = N * N * num / (1.0 - cis(a + b, N))
+                assert repr(mu(a, b, N)) == repr(want), (a, b, N)
+                assert repr(mu(a + N, b - 2 * N, N)) == repr(want), (a, b, N)
+        fermat._one_minus_roots.cache_clear()
+        mu(1, 1, fermat._TABLE_MAX_N + 1)
+        assert fermat._one_minus_roots.cache_info().currsize == 0
+        mu(1, 1, fermat._TABLE_MAX_N)
+        assert fermat._one_minus_roots.cache_info().currsize == 1
+
     def test_cache_does_not_change_a_value(self):
         labels = [(a, b, N) for N in (5, 13, 50) for a in range(1, N)
                   for b in range(1, N) if a + b != N]

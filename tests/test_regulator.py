@@ -336,6 +336,39 @@ class TestOracleSeriesSum:
             r = oracle_series_sum(a, b, N, CFG)
             assert abs(Fr(r.value) - Fr(ref)) <= Fr(r.err), (a, b, N)
 
+    def test_b1_labels_certify_at_default_tol(self):
+        # a fixed 32768 terms charged each of them 2 eps (32768//N + 2) of
+        # rounding, and from N = 19 on that charge alone broke 1e-8 at b = 1
+        for (a, b, N) in ((1, 1, 19), (9, 1, 19), (1, 1, 23), (15, 1, 23)):
+            s = oracle_series_sum(a, b, N, CFG)
+            l = log_integral(a, b, N, variable="x", cfg=CFG)
+            assert s.err <= CFG.tol, (a, b, N)
+            assert abs(s.value + l.value) <= s.err + l.err, (a, b, N)
+
+    def test_stops_where_err_stops_falling(self):
+        # verify's three labels, with each err at the fixed 32768 terms
+        # the oracle used to build: the search stops by K = 2048 (so it
+        # builds at most 4096 terms) and returns a smaller err
+        for (a, b, N), err_at_32768 in (((1, 2, 5), 1.481628031403141e-10),
+                                        ((1, 1, 3), 8.341218889193838e-10),
+                                        ((2, 3, 7), 6.115797096418186e-11)):
+            r = oracle_series_sum(a, b, N, CFG)
+            assert r.effort <= 4096, (a, b, N)
+            assert r.err <= err_at_32768, (a, b, N)
+
+    def test_budget_failure_names_the_label(self):
+        with pytest.raises(BudgetExceededError) as ei:
+            oracle_series_sum(1, 1, 13, EvalConfig(tol=1e-12))
+        best = ei.value.result
+        msg = str(ei.value)
+        assert msg.startswith("series oracle (1, 1; 13): tolerance 1e-12 not reached")
+        assert f"smallest err {best.err:.3g} at K = " in msg
+        assert 1e-12 < best.err < 1e-8
+        # the best K is a checkpoint, and every term built counts
+        K = int(msg.split("at K = ")[1].split()[0])
+        assert K in (1024, 2048, 4096, 8192, 16384) and best.effort == 2 * K
+        assert f"of {best.effort} terms" in msg
+
     def test_terms_positive_and_increasing_partials(self):
         a, b, N = 1, 2, 5
         terms = [beta((a + j) / N, b / N) / (j * N) for j in range(1, 200)]
