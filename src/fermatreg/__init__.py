@@ -13,11 +13,8 @@ The package has three layers:
   brute-force oracles (quadrature and series) that check the closed forms.
 
 Everything is deterministic: fixed summation orders and seeded self-checks.
-The one global state, ``mu``'s least-recently-used cache of at most 32
-tables of 1 - exp(2 pi i k/N), one per modulus N <= 202 (at most 8 KB each,
-so at most 260 KB in all; above N = 202 ``mu`` computes its three factors
-per call), cannot change a result: a table holds the very floats that a
-call without it computes, by the same expression.
+The package keeps no state between calls: every function's result depends
+on its arguments alone.
 """
 
 __version__ = "0.1.0"

@@ -185,7 +185,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hyp3f2", help="evaluate 3F2 at unit argument")
     for name in ("a1", "a2", "a3", "b1", "b2"):
-        p.add_argument(f"--{name}", required=True, metavar="p/q")
+        p.add_argument(f"--{name}", required=True, metavar="p/q",
+                       help="integer, p/q or decimal; write a negative p/q "
+                            f"with '=', as --{name}=-1/2")
     _add_cfg_flags(p)
     p.set_defaults(func=_cmd_hyp3f2)
 

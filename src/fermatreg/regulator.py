@@ -119,7 +119,7 @@ def _weighted_sum(terms: list[tuple[float, int, int, int]], N: int,
     and a list whose terms cancel in pairs gives exactly 0.0.  ``err`` is
     sum |c| err_F plus 32 eps sum |c F|, which covers the rounding of the
     products, of the sum and of a computed c (``mu_half``'s imaginary part
-    errs by under 4 eps for every label with N <= 200, measured against
+    errs by at most 3.3 eps for every label with N <= 200, measured against
     mpmath).  A budget failure passes on the failing term's error.
     """
     inner = EvalConfig(cfg.tol / 4.0)

@@ -145,12 +145,16 @@ class Hyp3F2Params(namedtuple("Hyp3F2Params", "a1 a2 a3 b1 b2")):
 
 
 def beta(m: float, n: float) -> float:
-    """Euler beta function Gamma(m)Gamma(n)/Gamma(m+n) for m, n > 0."""
+    """Euler beta function Gamma(m)Gamma(n)/Gamma(m+n) for finite m, n > 0."""
     m = float(m)
     n = float(n)
-    if not (m > 0.0 and n > 0.0):
-        raise DomainError("beta requires positive arguments")
-    return gamma_ratio((m, n), (m + n,))[0]
+    if not (0.0 < m < math.inf and 0.0 < n < math.inf):
+        raise DomainError("beta requires positive finite arguments")
+    try:
+        return gamma_ratio((m, n), (m + n,))[0]
+    except OverflowError:
+        raise DomainError(f"beta({m!r}, {n!r}): the value, a log-gamma or its "
+                          "error bound leaves the float range") from None
 
 
 # math.lgamma at every k/N with N prime below 400 and k <= 3N errs by at
@@ -163,17 +167,17 @@ _LGAMMA_ULPS = 32.0
 def gamma_ratio(num: Sequence[float], den: Sequence[float]) -> tuple[float, float]:
     """prod Gamma(x) over ``num`` divided by prod Gamma(y) over ``den``.
 
-    Every argument must be positive and should be a correctly rounded
-    rational such as ``p / q`` of two ints, the case the error model was
-    measured on.  Returns (value, rel_err): each log-gamma is allowed
+    Every argument must be positive and finite, and should be a correctly
+    rounded rational such as ``p / q`` of two ints, the case the error model
+    was measured on.  Returns (value, rel_err): each log-gamma is allowed
     ``32 eps max(1, |lgamma|)``, and ``exp`` one more rounding.
     """
     lg = 0.0
     lg_err = 0.0
     for sign, args in ((1.0, num), (-1.0, den)):
         for x in args:
-            if not x > 0.0:
-                raise DomainError("gamma_ratio requires positive arguments")
+            if not 0.0 < x < math.inf:
+                raise DomainError("gamma_ratio requires positive finite arguments")
             v = math.lgamma(x)
             lg += sign * v
             lg_err += max(1.0, abs(v))

@@ -132,6 +132,15 @@ def _special_checks() -> list[CheckResult]:
 
 # --- curve-constant checks --------------------------------------------------
 
+def _root_products(N: int) -> dict[tuple[int, int], complex]:
+    """mu's defining product N^2 (1-z^a)(1-z^b)/(1-z^(a+b)), z = exp(2 pi i/N),
+    at every label (a, b) in 1..N-1, from the N roots: fermat.mu's reference."""
+    th = 2.0 * math.pi / N
+    w = [1.0 - complex(math.cos(th * k), math.sin(th * k)) for k in range(N)]
+    return {(a, b): N * N * (w[a] * w[b]) / w[(a + b) % N]
+            for a in range(1, N) for b in range(1, N) if a + b != N}
+
+
 def _fermat_checks() -> list[CheckResult]:
     out = []
 
@@ -155,27 +164,23 @@ def _fermat_checks() -> list[CheckResult]:
                       0.0 if ok else 1.0, 0.0))
 
     worst_re = 0.0
-    worst_mag = 0.0
+    worst_im = 0.0
     for N in (3, 4, 5, 7, 11, 23, 50, 101):
-        sin = [math.sin(math.pi * k / N) for k in range(2 * N)]
-        for a in range(1, N):
-            for b in range(1, N):
-                if a + b == N:  # the one non-label with a, b in 1..N-1
-                    continue
-                m = fermat.mu(a, b, N)
-                mag = abs(m)
-                worst_re = max(worst_re, abs(m.real) / mag)
-                trig = 2.0 * N * N * abs(sin[a] * sin[b] / sin[a + b])
-                worst_mag = max(worst_mag, abs(mag - trig) / trig)
-    out.append(_check("mu is purely imaginary (relative real part)", worst_re, 1e-10))
-    out.append(_check("|mu| matches its sine form (relative)", worst_mag, 1e-12))
+        for (a, b), p in _root_products(N).items():
+            m = fermat.mu(a, b, N)
+            worst_re = max(worst_re, abs(m.real - p.real) / abs(p))
+            worst_im = max(worst_im, abs(m.imag - p.imag) / abs(p.imag))
+    out.append(_check("Re mu matches the root product's real part (relative to |mu|)",
+                      worst_re, 1e-10))
+    out.append(_check("Im mu matches the root product (relative)", worst_im, 1e-12))
 
     worst = 0.0
     for N in (5, 7, 13, 23):
+        products = _root_products(2 * N)
         for a in range(1, N):
             for b in range(1, N - a):
                 lhs = 4.0 * fermat.mu_half(a, b, N)
-                rhs = fermat.mu(a, b, 2 * N)
+                rhs = products[a, b]
                 worst = max(worst, abs(lhs - rhs) / abs(rhs))
     out.append(_check("mu_half is the doubled-modulus mu over 4 (relative)",
                       worst, 1e-12))
@@ -262,17 +267,20 @@ def _regulator_checks() -> list[CheckResult]:
     out.append(_check("mixed pairing diagonal vanishing (exact)",
                       0.0 if diag_ok else 1.0, 0.0))
 
-    # dropping the (rounding-level) real part of mu_half must not move the result
+    # the pairing's formula with mu_half's root product, real part and all
     worst = 0.0
     for (i, N) in ((2, 13), (3, 17)):
-        m1 = fermat.mu_half(1, i, N)
-        m2 = fermat.mu_half(1, 2 * i, N)
+        products = _root_products(2 * N)
         g1 = regulator.script_F(2 * i, N - i, 1, N).value
         g2 = regulator.script_F(i, i, 1, N).value
-        full = (2.0 * (m1 * g1 - m2 * g2)).imag
-        imag_only = (2.0 * (complex(0, m1.imag) * g1 - complex(0, m2.imag) * g2)).imag
-        worst = max(worst, abs(full - imag_only) / abs(full))
-    out.append(_check("mixed pairing insensitive to mu real part (relative)",
+        m1 = fermat.mu_half(1, i, N)
+        m2 = fermat.mu_half(1, 2 * i, N)
+        closed = (2.0 * (m1 * g1 - m2 * g2)).imag
+        p1 = products[1, i] / 4.0
+        p2 = products[1, 2 * i] / 4.0
+        product = (2.0 * (p1 * g1 - p2 * g2)).imag
+        worst = max(worst, abs(closed - product) / abs(product))
+    out.append(_check("mixed pairing agrees with the root-product mu_half (relative)",
                       worst, 1e-9))
 
     f = regulator.f_indec(2, 13)

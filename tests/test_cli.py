@@ -74,6 +74,20 @@ class TestHyp3F2Command:
         (rec,) = records(p.stdout)
         assert abs(rec["value"] - 176.0) <= rec["err"]
 
+    def test_negative_rational_joined_with_equals(self):
+        # written apart, -1/2 reads as a flag; joined with '=' it is a value.
+        # Reference: mpmath 1.3.0 hyp3f2(-1/2, 1, 1, 2, 2, 1) at 30 digits
+        p = run_cli("hyp3f2", "--a1=-1/2", "--a2", "1", "--a3", "1",
+                    "--b1", "2", "--b2", "2")
+        assert p.returncode == 0
+        (rec,) = records(p.stdout)
+        assert rec["inputs"]["a1"] == "-1/2"
+        assert abs(rec["value"] - 0.853581537031184031888) <= rec["err"]
+        apart = run_cli("hyp3f2", "--a1", "-1/2", "--a2", "1", "--a3", "1",
+                        "--b1", "2", "--b2", "2")
+        assert apart.returncode == 2
+        assert b"expected one argument" in apart.stderr
+
     def test_unreachable_tolerance_exits_1_with_best(self):
         p = run_cli("hyp3f2", "--a1", "3/13", "--a2", "1/13", "--a3", "1",
                     "--b1", "4/13", "--b2", "14/13", "--tol", "1e-30")
@@ -342,8 +356,8 @@ VERIFY_PROPERTIES = [
     "log-endpoint quadrature vs -1",
     "bracket lands in {1..N} with period N",
     "genus equals count of holomorphic eigenform labels",
-    "mu is purely imaginary (relative real part)",
-    "|mu| matches its sine form (relative)",
+    "Re mu matches the root product's real part (relative to |mu|)",
+    "Im mu matches the root product (relative)",
     "mu_half is the doubled-modulus mu over 4 (relative)",
     "Hodge predicate: reflexive, and (1,i)~(1,j) iff j=i or j=N-1-i",
     "period of the (1,1) form on the cubic",
@@ -354,7 +368,7 @@ VERIFY_PROPERTIES = [
     "regrouped series equals -log integral within errs",
     "mixed pairing swap antisymmetry (exact)",
     "mixed pairing diagonal vanishing (exact)",
-    "mixed pairing insensitive to mu real part (relative)",
+    "mixed pairing agrees with the root-product mu_half (relative)",
     "f(2,13) against its printed reference",
     "wedge ((1,2),(1,4)) mod 13 is not Hodge",
     "projector pairing calibration: matching label gives 1",

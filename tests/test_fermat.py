@@ -9,7 +9,6 @@ from itertools import permutations
 
 import pytest
 
-from fermatreg import fermat
 from fermatreg.fermat import (
     FormIndex,
     WedgeIndex,
@@ -129,6 +128,26 @@ class TestPeriod:
             assert abs(period(FormIndex(N, a, b)) - want) <= q.err / N + 1e-13
 
 
+_EPS = 2.0 ** -52
+
+
+def _assert_within_4_eps(fn, scale):
+    """Im fn(a, b, N) lies within 4 eps relative of mpmath's
+    -2 N^2 sin(pi a/M) sin(pi b/M) / sin(pi (a+b)/M), M = scale * N, on
+    every label with N <= 40."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for N in range(3, 41):
+            s = [mpmath.sinpi(mpmath.mpf(k) / (scale * N)) for k in range(2 * N)]
+            for a in range(1, N):
+                for b in range(1, N):
+                    if a + b == N:
+                        continue
+                    want = -2 * N * N * s[a] * s[b] / s[a + b]
+                    got = fn(a, b, N).imag
+                    assert abs(got - want) <= 4 * _EPS * abs(want), (a, b, N)
+
+
 class TestMu:
     def test_frozen_value(self):
         # mu(1, 1) at N = 3 is -9 sqrt(3) i
@@ -137,8 +156,11 @@ class TestMu:
         assert abs(got.imag + 9.0 * math.sqrt(3.0)) <= 1e-12
 
     def test_symmetry(self):
-        for (a, b, N) in ((1, 2, 5), (2, 3, 7), (4, 7, 13)):
-            assert mu(a, b, N) == mu(b, a, N)
+        for N in range(3, 61):
+            for a in range(1, N):
+                for b in range(a, N):
+                    if a + b != N:
+                        assert mu(a, b, N) == mu(b, a, N), (a, b, N)
 
     def test_purely_imaginary_sweep(self):
         for N in (3, 4, 5, 7, 11, 23, 50, 101):
@@ -146,8 +168,7 @@ class TestMu:
                 for b in range(a, N):
                     if not is_in_IN(a, b, N):
                         continue
-                    z = mu(a, b, N)
-                    assert abs(z.real) <= 1e-10 * abs(z), (a, b, N)
+                    assert mu(a, b, N).real == 0.0, (a, b, N)
 
     def test_magnitude_trig_form(self):
         # Im mu = -2 N^2 sin(pi a/N) sin(pi b/N) / sin(pi (a+b)/N)
@@ -167,22 +188,14 @@ class TestMu:
         with pytest.raises(DomainError):
             mu(1, 2, 3)  # a + b = 0 mod 3
 
-    def test_same_bits_as_the_root_expression(self):
-        # mu's expression, written out with a root per factor, on every
-        # label: the per-modulus table must give it bit for bit
-        def cis(num, den):
-            th = 2.0 * math.pi * (num % den) / den
-            return complex(math.cos(th), math.sin(th))
-
+    def test_reduction_keeps_the_bits(self):
+        # shifting a, b by multiples of N gives the same value bit for bit
         for N in range(3, 61):
             for a in range(1, N):
                 for b in range(1, N):
-                    if a + b == N:
-                        continue
-                    num = (1.0 - cis(a, N)) * (1.0 - cis(b, N))
-                    want = N * N * num / (1.0 - cis(a + b, N))
-                    assert repr(mu(a, b, N)) == repr(want), (a, b, N)
-                    assert repr(mu(a + N, b - 2 * N, N)) == repr(want), (a, b, N)
+                    if a + b != N:
+                        want = repr(mu(a, b, N))
+                        assert repr(mu(a + N, b - 2 * N, N)) == want, (a, b, N)
 
     def test_modulus_below_3_is_a_domain_error(self):
         for N in (-4, 0, 1, 2):
@@ -190,13 +203,9 @@ class TestMu:
                 mu(1, 1, N)
 
     def test_large_modulus_builds_no_table(self):
-        # above the table bound the three factors are computed per call,
-        # by the same expression, so the bits match and memory stays flat
+        # nothing of size N is built: a table of the N roots would take
+        # ~40 MB here
         import tracemalloc
-
-        def cis(num, den):
-            th = 2.0 * math.pi * (num % den) / den
-            return complex(math.cos(th), math.sin(th))
 
         N = 10 ** 6
         tracemalloc.start()
@@ -206,36 +215,12 @@ class TestMu:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        want = N * N * ((1.0 - cis(1, N)) * (1.0 - cis(2, N))) / (1.0 - cis(3, N))
-        assert repr(got) == repr(want)
-        for N in (fermat._TABLE_MAX_N, fermat._TABLE_MAX_N + 1):
-            for (a, b) in ((1, 1), (1, N - 2), (N // 2, N // 3 + 1), (N - 1, N - 1)):
-                num = (1.0 - cis(a, N)) * (1.0 - cis(b, N))
-                want = N * N * num / (1.0 - cis(a + b, N))
-                assert repr(mu(a, b, N)) == repr(want), (a, b, N)
-                assert repr(mu(a + N, b - 2 * N, N)) == repr(want), (a, b, N)
-        fermat._one_minus_roots.cache_clear()
-        mu(1, 1, fermat._TABLE_MAX_N + 1)
-        assert fermat._one_minus_roots.cache_info().currsize == 0
-        mu(1, 1, fermat._TABLE_MAX_N)
-        assert fermat._one_minus_roots.cache_info().currsize == 1
+        want = (-2.0 * N * N * math.sin(math.pi / N) * math.sin(2 * math.pi / N)
+                / math.sin(3 * math.pi / N))
+        assert abs(got.imag - want) <= 1e-12 * abs(want)
 
-    def test_cache_does_not_change_a_value(self):
-        labels = [(a, b, N) for N in (5, 13, 50) for a in range(1, N)
-                  for b in range(1, N) if a + b != N]
-        first = [repr(mu(*label)) for label in labels]
-        fermat._one_minus_roots.cache_clear()
-        assert [repr(mu(*label)) for label in labels] == first
-        for N in range(3, 200):  # evicts the tables of the labels' moduli
-            mu(1, 1, N)
-        assert [repr(mu(*label)) for label in labels] == first
-
-    def test_cache_is_bounded(self):
-        maxsize = fermat._one_minus_roots.cache_info().maxsize
-        assert maxsize is not None and maxsize <= 64
-        for N in range(3, 3 + 2 * maxsize):
-            mu(1, 1, N)
-        assert fermat._one_minus_roots.cache_info().currsize == maxsize
+    def test_within_4_eps_of_mpmath(self):
+        _assert_within_4_eps(mu, 1)
 
 
 class TestMuHalf:
@@ -261,22 +246,20 @@ class TestMuHalf:
             )
             assert abs(mu_half(a, b, N).imag - want) <= 1e-12 * abs(want)
 
-    def test_same_bits_as_the_half_angle_expression(self):
-        # mu's expression with z = exp(pi i/N), written out, on every label
-        # with reduced a, b: mu_half must give it bit for bit
-        def cis(num, den):
-            th = 2.0 * math.pi * (num % den) / den
-            return complex(math.cos(th), math.sin(th))
-
+    def test_exact_real_part_and_reduction(self):
+        # on every label: the real part is exactly 0, and shifting a, b by
+        # multiples of N keeps every bit
         for N in range(3, 61):
             for a in range(1, N):
                 for b in range(1, N):
                     if a + b == N:
                         continue
-                    num = (1.0 - cis(a, 2 * N)) * (1.0 - cis(b, 2 * N))
-                    want = N * N * num / (1.0 - cis(a + b, 2 * N))
-                    assert repr(mu_half(a, b, N)) == repr(want), (a, b, N)
-                    assert repr(mu_half(a + N, b - 2 * N, N)) == repr(want), (a, b, N)
+                    got = mu_half(a, b, N)
+                    assert got.real == 0.0, (a, b, N)
+                    assert repr(mu_half(a + N, b - 2 * N, N)) == repr(got), (a, b, N)
+
+    def test_within_4_eps_of_mpmath(self):
+        _assert_within_4_eps(mu_half, 2)
 
 
 class TestHodge:

@@ -86,6 +86,17 @@ class TestBeta:
         with pytest.raises(DomainError):
             beta(1.0, -2.0)
 
+    @pytest.mark.parametrize("m, n", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+    def test_non_finite_argument_is_a_domain_error(self, m, n):
+        with pytest.raises(DomainError, match="finite"):
+            beta(m, n)
+
+    @pytest.mark.parametrize("m, n", [(1e308, 1e308), (1e-320, 1.0)])
+    def test_leaving_the_float_range_is_a_domain_error(self, m, n):
+        # a log-gamma, or the value itself, overflows
+        with pytest.raises(DomainError, match="float range"):
+            beta(m, n)
+
 
 class TestGammaRatio:
     def test_lgamma_allowance_covers_measured_error(self):
@@ -112,6 +123,12 @@ class TestGammaRatio:
         assert 0.0 < rel < 1e-13
         with pytest.raises(DomainError):
             gamma_ratio((1.0,), (0.0,))
+
+    @pytest.mark.parametrize("num, den", [((math.inf,), ()), ((1.0,), (math.inf,)),
+                                          ((math.nan,), (1.0,))])
+    def test_non_finite_argument_is_a_domain_error(self, num, den):
+        with pytest.raises(DomainError, match="finite"):
+            gamma_ratio(num, den)
 
 
 class TestParams:

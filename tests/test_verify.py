@@ -1,6 +1,6 @@
 """Self-check suites: how much work they do, counted machine-independently."""
 
-from fermatreg import fermat, regulator, verify
+from fermatreg import regulator, verify
 
 
 def _counted(monkeypatch, module, name):
@@ -14,15 +14,6 @@ def _counted(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
-
-
-def test_fermat_suite_builds_each_root_once(monkeypatch):
-    # one table of roots per modulus: at most 300 roots for the suite's
-    # moduli, fewer if a table is cached, where a root per factor of every
-    # mu call took 40 470
-    calls = _counted(monkeypatch, fermat, "_cis")
-    assert all(r.passed for r in verify._fermat_checks())
-    assert calls[0] <= 334
 
 
 def test_regulator_suite_computes_each_pairing_once(monkeypatch):
