@@ -14,9 +14,9 @@ these give closed forms for two pairing flavors:
   normalized holomorphic eigenforms, a four-term combination of script-F
   values weighted by the half-angle coefficient ``mu_half``.
 
-Each closed form ships with independent oracles (direct quadrature of the
-defining log-kernel integrals, projector-averaged integrals, and a regrouped
-series) so agreement can be checked instance by instance.
+Each closed form ships with independent oracles (a regrouped series, and
+the direct quadratures of the log-kernel integrals projected onto one
+eigenform component) so agreement can be checked instance by instance.
 """
 
 import cmath
@@ -78,6 +78,12 @@ def _holomorphic(a: int, b: int, N: int) -> tuple[int, int]:
     return idx.a, idx.b
 
 
+def _script_F_params(a: int, j: int, b: int, N: int) -> Hyp3F2Params:
+    """The 3F2 parameters ((a+j)/N, j/N, 1; (a+b+j)/N, j/N + 1) of F(a, j, b; N)."""
+    return Hyp3F2Params(Fraction(a + j, N), Fraction(j, N), 1,
+                        Fraction(a + b + j, N), Fraction(j, N) + 1)
+
+
 def script_F(a: int, j: int, b: int, N: int,
              cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """The positive script-F building block; see the module docstring.
@@ -97,11 +103,8 @@ def script_F(a: int, j: int, b: int, N: int,
     ratio, rel = gamma_ratio(((a_r + j) / N, (a_r + b_r) / N),
                              ((a_r + b_r + j) / N, a_r / N))
     rel += 2.0 * _EPS
-    params = Hyp3F2Params(
-        Fraction(a_r + j, N), Fraction(j, N), 1,
-        Fraction(a_r + b_r + j, N), Fraction(j, N) + 1)
     try:
-        hyp = hyp3f2_unit(params, cfg)
+        hyp = hyp3f2_unit(_script_F_params(a_r, j, b_r, N), cfg)
     except BudgetExceededError as exc:
         raise BudgetExceededError(
             f"script-F term ({a_r}, {j}, {b_r}; {N}): {exc}",
@@ -302,57 +305,52 @@ def oracle_series_sum(a: int, b: int, N: int,
     return result
 
 
-def _projector_average(kernel, a, b, c, d, N, indexed_by, cfg) -> EvalResult:
-    """Average translates of the kernel integrals and project onto (c, d).
+def _roots(N: int) -> list[complex]:
+    """The N-th roots of unity z^k = exp(2 pi i k / N), k = 0, ..., N-1."""
+    return [cmath.exp(complex(0.0, 2.0 * math.pi * k / N)) for k in range(N)]
 
-    ``kernel(inner)`` returns the N twisted integrals, a bound on the error
-    of each and the effort, computed at the config ``inner``, which asks
-    every integral for the share of cfg.tol that survives the
-    normalization by N^2 times the (a, b) period.  J(r, s) picks the r-th
-    integral (the s-th when ``indexed_by`` is "s") up with the character
-    weight z^(a r + b s), the double averaging subtracts the translate
-    means in each variable, and the final character sum extracts the
-    (c, d) isotypic component.  Runs in O(N^2) using row sums.
-    """
+
+def _projector_norm(a: int, b: int, N: int, cfg: EvalConfig) -> tuple[float, EvalConfig]:
+    """N^2 times the (a, b) period, and the config that asks each kernel
+    integral for the share of cfg.tol that survives division by it."""
     norm = N * N * period(FormIndex(N, a, b))
-    inner = EvalConfig(max(cfg.tol * abs(norm) / (8.0 * N), 1e-14))
-    kernel_values, kernel_err, effort = kernel(inner)
-    zeta_pow = [cmath.exp(complex(0.0, 2.0 * math.pi * r / N)) for r in range(N)]
+    return norm, EvalConfig(max(cfg.tol * abs(norm) / (8.0 * N), 1e-14))
 
-    def J(r: int, s: int) -> complex:
-        idx = r % N if indexed_by == "r" else s % N
-        return zeta_pow[(a * r + b * s) % N] * kernel_values[idx]
 
-    S_all = complex(0.0, 0.0)
-    row_r = [complex(0.0, 0.0)] * N  # sum over s at fixed r
-    row_s = [complex(0.0, 0.0)] * N  # sum over r at fixed s
-    for r in range(N):
-        for s in range(N):
-            v = J(r, s)
-            row_r[r] += v
-            row_s[s] += v
-            S_all += v
+def _projector_average(qs: list[EvalResult], effort: int, a: int, b: int,
+                       c: int, d: int, N: int, norm: float) -> EvalResult:
+    """The (c, d) component of the (a, b)-twisted kernel integrals K_r.
+
+    K_r is the quadrature ``qs[r]`` over N.  The translates
+    J(r, s) = z^(a r + b s) K_r, projected onto (c, d), give the O(N^2) sum
+    over r, s in Z/N of z^((a-c) r + (b-d) s) K_r, divided by ``norm``.
+    Averaging out J's translate means first would change nothing: each mean
+    carries a factor sum_r z^(-c r) or sum_s z^(-d s), which is 0 because
+    c, d are nonzero mod N for every holomorphic label.
+    """
+    z = _roots(N)
+    K = [q.value / N for q in qs]
+    K_err = max(q.err for q in qs) / N
     total = complex(0.0, 0.0)
     for r in range(N):
         for s in range(N):
-            t = J(r, s) - row_s[s] / N - row_r[r] / N + S_all / (N * N)
-            total += zeta_pow[(-(c * r + d * s)) % N] * t
+            total += z[((a - c) * r + (b - d) * s) % N] * K[r]
     value = total / norm
-    err = 4.0 * kernel_err * N * N / abs(norm)
+    err = 4.0 * K_err * N * N / abs(norm)
     return EvalResult(value, err + 16.0 * _EPS * (1.0 + abs(value)), effort)
 
 
 def oracle_projector_integral(a: int, b: int, c: int, d: int, N: int,
                               variable: str = "x",
                               cfg: EvalConfig = EvalConfig()) -> EvalResult:
-    """Brute-force projector average of the twisted log-kernel integrals.
+    """Brute-force projection of the twisted log-kernel integrals.
 
     Computes the N integrals
-        K_r = (1/N) * int_0^1 Log(1 - z^r t^(1/N)) t^(w1/N - 1) (1-t)^(w2/N - 1) dt
-    by quadrature (no series acceleration anywhere), where (w1, w2) = (a, b)
-    for variable "x" and (b, a) for "y", then averages translates and
-    projects onto the (c, d) component, normalized by N^2 times the (a, b)
-    period.  Matches the script-F closed forms:
+        K_r = (1/N) * int_0^1 Log(1 - z^r t^(1/N)) t^(a/N - 1) (1-t)^(b/N - 1) dt
+    by quadrature (no series acceleration anywhere), then projects their
+    (a, b)-twisted translates onto the (c, d) component, normalized by N^2
+    times the (a, b) period.  Variable "y" is variable "x" on the swapped
+    labels (b, a, d, c), bit for bit.  Matches the script-F closed forms:
 
         "x" result = -[b==d] * F(a, <c-a>, b),
         "y" result = -[a==c] * F(b, <d-b>, a),
@@ -362,56 +360,37 @@ def oracle_projector_integral(a: int, b: int, c: int, d: int, N: int,
     """
     a, b = _holomorphic(a, b, N)
     c, d = _holomorphic(c, d, N)
-    if variable == "x":
-        w1, w2, indexed_by = a, b, "r"
-    elif variable == "y":
-        w1, w2, indexed_by = b, a, "s"
-    else:
+    if variable == "y":
+        a, b, c, d = b, a, d, c
+    elif variable != "x":
         raise DomainError("variable must be 'x' or 'y'")
-    e1 = w1 / N - 1.0
-    e2 = w2 / N - 1.0
+    norm, inner = _projector_norm(a, b, N, cfg)
+    e1 = a / N - 1.0
+    e2 = b / N - 1.0
 
-    def kernel(inner: EvalConfig):
-        kernel_values = []
-        kernel_err = 0.0
-        effort = 0
-        for r in range(N):
-            zr = cmath.exp(complex(0.0, 2.0 * math.pi * r / N))
+    def integrand(zr: complex):
+        if zr == 1.0:  # Log(1 - t^(1/N)) is real, and loses digits near t = 1
+            return lambda x, xc: complex(math.log(one_minus_root(x, xc, N)), 0.0) \
+                * x ** e1 * xc ** e2
+        return lambda x, xc: cmath.log(1.0 - zr * x ** (1.0 / N)) * x ** e1 * xc ** e2
 
-            if r == 0:
-                def integrand(x, xc):
-                    return complex(math.log(one_minus_root(x, xc, N)), 0.0) \
-                        * x ** e1 * xc ** e2
-            else:
-                def integrand(x, xc, _z=zr):
-                    u = x ** (1.0 / N)
-                    return cmath.log(1.0 - _z * u) * x ** e1 * xc ** e2
-
-            q = de_quadrature(integrand, inner)
-            kernel_values.append(q.value / N)
-            kernel_err = max(kernel_err, q.err / N)
-            effort += q.effort
-        return kernel_values, kernel_err, effort
-
-    return _projector_average(kernel, a, b, c, d, N, indexed_by, cfg)
+    qs = [de_quadrature(integrand(zr), inner) for zr in _roots(N)]
+    return _projector_average(qs, sum(q.effort for q in qs), a, b, c, d, N, norm)
 
 
 def oracle_projector_pairing(a: int, b: int, c: int, d: int, N: int,
                              cfg: EvalConfig = EvalConfig()) -> EvalResult:
-    """Projector average with the log factor replaced by 1.
+    """Projection with the log factor replaced by 1.
 
     Computes the pairing of the normalized (a, b) form against the (c, d)
-    projector by the same brute-force averaging as
-    :func:`oracle_projector_integral`; the result is 1 when (c, d) = (a, b)
-    and 0 otherwise, which calibrates the projector normalization.
+    projector as :func:`oracle_projector_integral` does, from one
+    quadrature that serves all N kernel values; the result is 1 when
+    (c, d) = (a, b) and 0 otherwise, which calibrates the normalization.
     """
     a, b = _holomorphic(a, b, N)
     c, d = _holomorphic(c, d, N)
+    norm, inner = _projector_norm(a, b, N, cfg)
     e1 = a / N - 1.0
     e2 = b / N - 1.0
-
-    def kernel(inner: EvalConfig):
-        q = de_quadrature(lambda x, xc: x ** e1 * xc ** e2, inner)
-        return [q.value / N] * N, q.err / N, q.effort
-
-    return _projector_average(kernel, a, b, c, d, N, "r", cfg)
+    q = de_quadrature(lambda x, xc: x ** e1 * xc ** e2, inner)
+    return _projector_average([q] * N, q.effort, a, b, c, d, N, norm)

@@ -15,6 +15,7 @@ built-in ``sum``, whose rounding changed in Python 3.12; so results are
 bitwise reproducible, across Python versions too.
 """
 
+import cmath
 import math
 from collections import namedtuple
 from collections.abc import Callable, Sequence
@@ -145,16 +146,13 @@ class Hyp3F2Params(namedtuple("Hyp3F2Params", "a1 a2 a3 b1 b2")):
 
 
 def beta(m: float, n: float) -> float:
-    """Euler beta function Gamma(m)Gamma(n)/Gamma(m+n) for finite m, n > 0."""
+    """Euler beta function Gamma(m)Gamma(n)/Gamma(m+n) for finite m, n > 0;
+    DomainError where that is not certified to half its digits, as at m = 1e15."""
     m = float(m)
     n = float(n)
     if not (0.0 < m < math.inf and 0.0 < n < math.inf):
         raise DomainError("beta requires positive finite arguments")
-    try:
-        return gamma_ratio((m, n), (m + n,))[0]
-    except OverflowError:
-        raise DomainError(f"beta({m!r}, {n!r}): the value, a log-gamma or its "
-                          "error bound leaves the float range") from None
+    return _half_certified("beta", (m, n), (m, n), (m + n,))
 
 
 # math.lgamma at every k/N with N prime below 400 and k <= 3N errs by at
@@ -184,6 +182,20 @@ def gamma_ratio(num: Sequence[float], den: Sequence[float]) -> tuple[float, floa
     return math.exp(lg), math.expm1(_LGAMMA_ULPS * _EPS * lg_err) + 2.0 * _EPS
 
 
+def _half_certified(name: str, args: tuple, num, den) -> float:
+    """gamma_ratio(num, den)'s value, returned as a bare float by ``name``(*args):
+    DomainError unless it is finite and its error bound certifies half its digits."""
+    try:
+        value, rel = gamma_ratio(num, den)
+    except OverflowError:
+        raise DomainError(f"{name}{args}: the value, a log-gamma or its "
+                          "error bound leaves the float range") from None
+    if not rel <= 2.0 ** -26:
+        raise DomainError(f"{name}{args}: the relative error bound {rel:.3g} of the "
+                          "Gamma ratio exceeds 2^-26")
+    return value
+
+
 def _scaled(res: EvalResult, factor: float, rel: float) -> EvalResult:
     """``factor`` times a certified ``res``, where ``rel`` bounds the relative
     error of ``factor`` and of the product's own rounding."""
@@ -195,12 +207,13 @@ def _scaled(res: EvalResult, factor: float, rel: float) -> EvalResult:
 def gauss_2f1_unit(a: float, b: float, c: float) -> float:
     """Closed form of 2F1(a,b;c;1) = G(c)G(c-a-b) / (G(c-a)G(c-b)).
 
-    Requires c-a-b > 0 (convergence) and positive Gamma arguments.
+    Requires c-a-b > 0 (convergence) and positive Gamma arguments, and
+    raises DomainError where the value is not certified to half its digits.
     """
     a, b, c = float(a), float(b), float(c)
     if not c - a - b > 0.0:
         raise DivergentParametersError("2F1 at unit argument needs c - a - b > 0")
-    return gamma_ratio((c, c - a - b), (c - a, c - b))[0]
+    return _half_certified("gauss_2f1_unit", (a, b, c), (c, c - a - b), (c - a, c - b))
 
 
 # --- tanh-sinh quadrature on (0, 1) ---------------------------------------
@@ -228,10 +241,7 @@ def _ts_point(u: float) -> tuple[float, float, float]:
 
 def _call_integrand(f: Callable, x: float, xc: float):
     fv = f(x, xc)
-    if isinstance(fv, complex):
-        if not (math.isfinite(fv.real) and math.isfinite(fv.imag)):
-            raise NonFiniteSampleError(f"integrand not finite at x={x!r}")
-    elif not math.isfinite(fv):
+    if not cmath.isfinite(fv):  # real or complex
         raise NonFiniteSampleError(f"integrand not finite at x={x!r}")
     return fv
 
@@ -565,8 +575,7 @@ def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
         # the tail model expands in parameter / k: its first fit waits for
         # k >= 8 |parameter|, and a huge one is refused before it is a float
         big = max(ups + [b1, b2], key=abs)
-        checkpoints = [K for K in _CHECKPOINTS
-                       if 8 * abs(big) <= K * D and K <= _TERM_BUDGET]
+        checkpoints = [K for K in _CHECKPOINTS if 8 * abs(big) <= K * D]
         if not checkpoints:
             raise DomainError(f"series parameter {_short(Fraction(big, D))} needs a first tail "
                               f"fit past the {_TERM_BUDGET}-term budget")

@@ -88,8 +88,7 @@ def _special_checks() -> list[CheckResult]:
 
     worst = 0.0
     for (a, j, b, N), ref in _SCRIPT_F_3F2_REFS.items():
-        p = Hyp3F2Params(Fraction(a + j, N), Fraction(j, N), 1,
-                         Fraction(a + b + j, N), Fraction(j, N) + 1)
+        p = regulator._script_F_params(a, j, b, N)
         r = specialfn.hyp3f2_unit(p)
         worst = max(worst, float(abs(Fraction(r.value) - Fraction(ref)) - Fraction(r.err)))
     out.append(_check("3F2 err honored against 30-digit references",
@@ -98,8 +97,7 @@ def _special_checks() -> list[CheckResult]:
     # the untransformed series is a different series with the same sum
     worst = 0.0
     for (a, j, b, N) in (*_SCRIPT_F_3F2_REFS, (95, 97, 1, 97)):
-        p = Hyp3F2Params(Fraction(a + j, N), Fraction(j, N), 1,
-                         Fraction(a + b + j, N), Fraction(j, N) + 1)
+        p = regulator._script_F_params(a, j, b, N)
         direct = specialfn._hyp3f2_direct(p, EvalConfig())
         thomae = specialfn.hyp3f2_unit(p)
         worst = max(worst, abs(direct.value - thomae.value) - (direct.err + thomae.err))
@@ -112,8 +110,7 @@ def _special_checks() -> list[CheckResult]:
         a = rng.randrange(1, N - 1)
         b = rng.randrange(1, N - a)
         j = rng.randrange(1, N + 1)
-        p = Hyp3F2Params(Fraction(a + j, N), Fraction(j, N), 1,
-                         Fraction(a + b + j, N), Fraction(j, N) + 1)
+        p = regulator._script_F_params(a, j, b, N)
         loose = specialfn.hyp3f2_unit(p, EvalConfig(tol=1e-6))
         tight = specialfn.hyp3f2_unit(p, EvalConfig(tol=1e-7))
         excessd = abs(loose.value - tight.value) - (loose.err + tight.err)

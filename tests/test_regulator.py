@@ -402,6 +402,13 @@ class TestProjectorOracles:
             want = -script_F(b, bracket(d - b, N), a, N, CFG).value
             assert abs(o.value.real - want) <= o.err + 1e-8, N
 
+    def test_y_variable_is_x_on_swapped_labels_bit_for_bit(self):
+        for (a, b, c, d, N) in ((1, 2, 1, 1, 5), (1, 3, 1, 5, 9), (2, 3, 4, 1, 9),
+                                (5, 2, 5, 4, 12), (1, 2, 3, 1, 12)):
+            y = oracle_projector_integral(a, b, c, d, N, "y", CFG)
+            x = oracle_projector_integral(b, a, d, c, N, "x", CFG)
+            assert repr(y) == repr(x), (a, b, c, d, N)
+
     def test_miss_gives_zero(self):
         o = oracle_projector_integral(1, 2, 3, 1, 7, "x", CFG)  # d != b
         assert abs(o.value) <= o.err + 1e-8

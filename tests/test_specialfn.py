@@ -56,6 +56,13 @@ def script_f_params(a, j, b, N):
     return Hyp3F2Params(Fr(a + j, N), Fr(j, N), 1, Fr(a + b + j, N), Fr(j, N) + 1)
 
 
+def shrink_budget(monkeypatch, budget):
+    """Make ``budget`` the series' last checkpoint, as the term budget is."""
+    monkeypatch.setattr(specialfn, "_CHECKPOINTS",
+                        tuple(K for K in specialfn._CHECKPOINTS if K <= budget))
+    monkeypatch.setattr(specialfn, "_TERM_BUDGET", budget)
+
+
 def eval_or_best(p, cfg):
     """The certified result, or the best one a budget failure carries."""
     try:
@@ -96,6 +103,12 @@ class TestBeta:
         # a log-gamma, or the value itself, overflows
         with pytest.raises(DomainError, match="float range"):
             beta(m, n)
+
+    def test_uncertified_value_is_a_domain_error(self):
+        # B(1e15, 1) = 1e-15, but the Gamma ratio's bound is 9.8e206: a bare
+        # float must certify half its digits
+        with pytest.raises(DomainError, match=r"9\.8e\+206 .* exceeds 2\^-26"):
+            beta(1e15, 1.0)
 
 
 class TestGammaRatio:
@@ -281,7 +294,7 @@ class TestHyp3F2:
         with pytest.raises(BudgetExceededError) as ei:
             hyp3f2_unit(SLOW_3F2, EvalConfig(tol=1e-13))
         assert ei.value.result.effort == 131_073
-        monkeypatch.setattr(specialfn, "_TERM_BUDGET", 1024)
+        shrink_budget(monkeypatch, 1024)
         with pytest.raises(BudgetExceededError) as early:
             hyp3f2_unit(SLOW_3F2, EvalConfig(tol=1e-13))
         assert early.value.result == (*ei.value.result[:2], 1025)
@@ -291,7 +304,7 @@ class TestHyp3F2:
         # blocks; keeping all 65 537 terms would take about 2.1 MB.
         # tracemalloc slows every float the loop makes, so the budget is
         # the smallest that the bound still tells apart from keeping them
-        monkeypatch.setattr(specialfn, "_TERM_BUDGET", 65_536)
+        shrink_budget(monkeypatch, 65_536)
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError):
@@ -517,3 +530,12 @@ class TestGauss2F1:
     def test_divergent(self):
         with pytest.raises(DivergentParametersError):
             gauss_2f1_unit(1.0, 1.0, 2.0)
+
+    def test_uncertified_value_is_a_domain_error(self):
+        # the value is 1.000000000025, but the Gamma ratio's bound is 6.3e-3
+        with pytest.raises(DomainError, match=r"0\.00628 .* exceeds 2\^-26"):
+            gauss_2f1_unit(0.5, 0.5, 1e10)
+
+    def test_leaving_the_float_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="float range"):
+            gauss_2f1_unit(0.5, 0.5, 1e15)

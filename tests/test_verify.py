@@ -1,6 +1,6 @@
 """Self-check suites: how much work they do, counted machine-independently."""
 
-from fermatreg import regulator, verify
+from fermatreg import regulator, specialfn, verify
 
 
 def _counted(monkeypatch, module, name):
@@ -22,3 +22,14 @@ def test_regulator_suite_computes_each_pairing_once(monkeypatch):
     calls = _counted(monkeypatch, regulator, "script_F")
     assert all(r.passed for r in verify._regulator_checks())
     assert calls[0] == 165
+
+
+def test_suites_run_a_fixed_number_of_quadratures(monkeypatch):
+    # two in the special-function checks; in the regulator checks one for
+    # each projector pairing, however large N, and five for the projector
+    # integral at N = 5
+    calls = [_counted(monkeypatch, m, "de_quadrature") for m in (specialfn, regulator)]
+    assert all(r.passed for r in verify._special_checks())
+    assert [c[0] for c in calls] == [2, 0]
+    assert all(r.passed for r in verify._regulator_checks())
+    assert [c[0] for c in calls] == [2, 7]
