@@ -10,12 +10,13 @@ verify   run the invariant suites and print pass/fail per property
 
 Every record is one JSON object per line (tables can switch to CSV); output
 is bitwise deterministic for identical flags.  Exit codes: 0 success,
-1 numerical failure (budget exceeded, failed verification), 2 usage or
-domain error.
+1 numerical failure (budget exceeded, failed verification) or stdout
+closed before the output was written, 2 usage or domain error.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__, fermat, regulator
@@ -231,7 +232,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: point fd 1 at devnull, so that the flush
+        # at interpreter shutdown does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written",
+              file=sys.stderr)
+        return 1
     except BudgetExceededError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

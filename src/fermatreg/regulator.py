@@ -116,22 +116,27 @@ def _weighted_sum(terms: list[tuple[float, int, int, int]], N: int,
                   cfg: EvalConfig) -> EvalResult:
     """sum c * F(a, j, b; N) over the ``terms`` (c, a, j, b), c a float.
 
-    Each script-F value is certified to cfg.tol / 4.  The sum of the
-    products is a correctly rounded ``math.fsum``, so a term list that
-    negates under a swap of labels gives a value that negates bit for bit,
-    and a list whose terms cancel in pairs gives exactly 0.0.  ``err`` is
-    sum |c| err_F plus 32 eps sum |c F|, which covers the rounding of the
-    products, of the sum and of a computed c (``mu_half``'s imaginary part
-    errs by at most 3.3 eps for every label with N <= 200, measured against
-    mpmath).  A budget failure passes on the failing term's error.
+    Each distinct (a, j, b) is evaluated once, certified to cfg.tol / 4,
+    however many terms name it, and ``effort`` adds up the work of those
+    evaluations alone.  The sum of the products is a correctly rounded
+    ``math.fsum``, so a term list that negates under a swap of labels gives
+    a value that negates bit for bit, and a list whose terms cancel in
+    pairs gives exactly 0.0.  ``err`` is sum |c| err_F over the terms plus
+    32 eps sum |c F|, which covers the rounding of the products, of the sum
+    and of a computed c (``mu_half``'s imaginary part errs by at most
+    3.3 eps for every label with N <= 200, measured against mpmath).  A
+    budget failure passes on the failing term's error.
     """
     inner = EvalConfig(cfg.tol / 4.0)
-    cs = [c for (c, _, _, _) in terms]
-    fs = [script_F(a, j, b, N, inner) for (_, a, j, b) in terms]
-    products = [c * f.value for c, f in zip(cs, fs)]
-    err = math.fsum(abs(c) * f.err for c, f in zip(cs, fs)) \
+    fs = {}
+    for (_, a, j, b) in terms:
+        if (a, j, b) not in fs:
+            fs[a, j, b] = script_F(a, j, b, N, inner)
+    cfs = [(c, fs[a, j, b]) for (c, a, j, b) in terms]
+    products = [c * f.value for c, f in cfs]
+    err = math.fsum(abs(c) * f.err for c, f in cfs) \
         + 32.0 * _EPS * math.fsum(map(abs, products))
-    return EvalResult(math.fsum(products), err, sum(f.effort for f in fs))
+    return EvalResult(math.fsum(products), err, sum(f.effort for f in fs.values()))
 
 
 def log_integral(a: int, b: int, N: int, variable: str = "x",
@@ -160,7 +165,9 @@ def reg_holomorphic(a: int, b: int, N: int,
 
     Closed form 2 * sum_{j=1}^{N} (F(b,j,a) - F(a,j,b)).  Antisymmetric under
     swapping a and b and zero on the diagonal, exactly, in floating point.
-    The certified err stays at or below 2*N*cfg.tol.
+    The certified err stays at or below 2*N*cfg.tol.  ``effort`` is the work
+    of the distinct script-F terms evaluated: 2N of them, and N on the
+    diagonal, where the two sums name the same terms.
     """
     a_r, b_r = _holomorphic(a, b, N)
     return _weighted_sum([t for j in range(1, N + 1)

@@ -403,6 +403,25 @@ class TestVerifyCommand:
         assert out[-1] == f"{len(VERIFY_PROPERTIES)}/{len(VERIFY_PROPERTIES)} properties passed"
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ("f-table", "--N", "1009,2003,3001"),
+        ("hodge", "--N", "13", "--list"),
+        ("verify",),
+        ("hyp3f2", "--a1", "1", "--a2", "1", "--a3", "1", "--b1", "2", "--b2", "2"),
+    ], ids=["f-table", "hodge", "verify", "hyp3f2"])
+    def test_closed_stdout_exits_1_without_traceback(self, argv):
+        # the read end is closed before the child writes, so every write fails
+        p = subprocess.Popen([sys.executable, "-m", "fermatreg", *argv],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        p.stdout.close()
+        err = p.stderr.read()
+        assert p.wait(timeout=300) == 1
+        assert b"Traceback" not in err
+        assert b"Exception ignored" not in err
+        assert err.startswith(b"error: ") and err.count(b"\n") == 1, err
+
+
 class TestDeterminismAndCache:
     def test_repeated_runs_bit_identical(self):
         a = run_cli("f-table", "--N", "13", "--format", "csv")

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from fermatreg import regulator
 from fermatreg.fermat import FormIndex, UnsupportedModulusError, bracket, period
 from fermatreg.regulator import (
     FIndecResult,
@@ -195,6 +196,48 @@ class TestImRegMixed:
     def test_domain(self):
         with pytest.raises(DomainError):
             im_reg_mixed(2, 4, 1, 2, 5, CFG)  # (2, 4) not holomorphic mod 5
+
+
+class TestDistinctTerms:
+    """A pairing evaluates each distinct script-F term once per call."""
+
+    @staticmethod
+    def counted_script_F(monkeypatch):
+        calls = []
+        inner = regulator.script_F
+
+        def wrapper(a, j, b, N, cfg):
+            calls.append((a, j, b, N))
+            return inner(a, j, b, N, cfg)
+
+        monkeypatch.setattr(regulator, "script_F", wrapper)
+        return calls
+
+    def test_holomorphic_diagonal(self, monkeypatch):
+        # the two sums name the same N terms: value, err bits and half the work
+        calls = self.counted_script_F(monkeypatch)
+        r = reg_holomorphic(2, 2, 7, CFG)
+        assert len(calls) == 7 == len(set(calls))
+        assert r.value == 0.0
+        assert r.err == 5.07864069985573e-10
+        assert r.effort == 391
+
+    def test_mixed_diagonal(self, monkeypatch):
+        calls = self.counted_script_F(monkeypatch)
+        r = im_reg_mixed(1, 2, 1, 2, 13, CFG)
+        assert sorted(calls) == [(1, 13, 2, 13), (2, 13, 1, 13)]
+        assert r.value == 0.0
+        assert r.err == 2.878799949992901e-10
+
+    def test_off_diagonal_labels_keep_every_term(self, monkeypatch):
+        calls = self.counted_script_F(monkeypatch)
+        r = reg_holomorphic(1, 2, 13, CFG)
+        assert len(calls) == 26
+        assert (r.value, r.err, r.effort) == (14.622432385264835, 5.948380543823959e-09, 1562)
+        calls.clear()
+        r = im_reg_mixed(1, 2, 1, 4, 13, CFG)
+        assert len(calls) == 2
+        assert (r.value, r.err, r.effort) == (25.471453642794863, 3.163851404770221e-08, 130)
 
 
 F_TABLE_FROZEN = [

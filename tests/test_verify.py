@@ -1,6 +1,6 @@
 """Self-check suites: how much work they do, counted machine-independently."""
 
-from fermatreg import regulator, specialfn, verify
+from fermatreg import fermat, regulator, specialfn, verify
 
 
 def _counted(monkeypatch, module, name):
@@ -18,10 +18,29 @@ def _counted(monkeypatch, module, name):
 
 def test_regulator_suite_computes_each_pairing_once(monkeypatch):
     # the normalization identity reuses the antisymmetry check's pairings,
-    # and the regrouped-series check that identity's log integrals
+    # and the regrouped-series check that identity's log integrals; each
+    # diagonal pairing evaluates its repeated terms once
     calls = _counted(monkeypatch, regulator, "script_F")
     assert all(r.passed for r in verify._regulator_checks())
-    assert calls[0] == 165
+    assert calls[0] == 142
+
+
+def test_special_suite_computes_each_reference_set_once(monkeypatch):
+    # the err-honored check and the Thomae/direct check share the five
+    # reference sets' values
+    calls = _counted(monkeypatch, specialfn, "hyp3f2_unit")
+    assert all(r.passed for r in verify._special_checks())
+    assert calls[0] == 48
+
+
+def test_fermat_suite_builds_each_label_once(monkeypatch):
+    # 12 854 mu labels in the sweep and 318 behind mu_half; 636 labels in
+    # the reflexive Hodge loop, 67 (1, i) labels and the cubic's (1, 1)
+    mu_calls = _counted(monkeypatch, fermat, "mu")
+    index_calls = _counted(monkeypatch, fermat, "FormIndex")
+    assert all(r.passed for r in verify._fermat_checks())
+    assert mu_calls[0] == 13172
+    assert index_calls[0] == 704
 
 
 def test_suites_run_a_fixed_number_of_quadratures(monkeypatch):
