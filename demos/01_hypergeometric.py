@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from fermatreg import (
     BudgetExceededError,
-    DivergentParametersError,
+    DomainError,
     EvalConfig,
     Hyp3F2Params,
     hyp3f2_unit,
@@ -43,7 +43,7 @@ print()
 # divergent parameter sets are rejected up front
 try:
     hyp3f2_unit(Hyp3F2Params(1, 1, 1, 1, 2), EvalConfig())
-except DivergentParametersError as exc:
+except DomainError as exc:
     print(f"rejected: {exc}")
 print()
 

@@ -21,12 +21,10 @@ __version__ = "0.1.0"
 
 from .specialfn import (
     BudgetExceededError,
-    DivergentParametersError,
     DomainError,
     EvalConfig,
     EvalResult,
     Hyp3F2Params,
-    NonFiniteSampleError,
     beta,
     de_quadrature,
     gauss_2f1_unit,
@@ -35,7 +33,6 @@ from .specialfn import (
 )
 from .fermat import (
     FormIndex,
-    UnsupportedModulusError,
     WedgeIndex,
     bracket,
     genus,
@@ -47,7 +44,6 @@ from .fermat import (
     period,
 )
 from .regulator import (
-    FIndecResult,
     f_indec,
     im_reg_mixed,
     log_integral,
@@ -61,15 +57,14 @@ from .regulator import (
 __all__ = [
     "__version__",
     # specialfn
-    "BudgetExceededError", "DivergentParametersError", "DomainError",
-    "EvalConfig", "EvalResult", "Hyp3F2Params", "NonFiniteSampleError",
-    "beta", "de_quadrature", "gauss_2f1_unit", "hyp3f2_unit",
+    "BudgetExceededError", "DomainError", "EvalConfig", "EvalResult",
+    "Hyp3F2Params", "beta", "de_quadrature", "gauss_2f1_unit", "hyp3f2_unit",
     "one_minus_root",
     # fermat
-    "FormIndex", "UnsupportedModulusError", "WedgeIndex", "bracket", "genus",
-    "is_hodge", "is_in_IN", "is_prime", "mu", "mu_half", "period",
+    "FormIndex", "WedgeIndex", "bracket", "genus", "is_hodge", "is_in_IN",
+    "is_prime", "mu", "mu_half", "period",
     # regulator
-    "FIndecResult", "f_indec", "im_reg_mixed", "log_integral",
+    "f_indec", "im_reg_mixed", "log_integral",
     "oracle_projector_integral", "oracle_projector_pairing",
     "oracle_series_sum", "reg_holomorphic", "script_F",
 ]

@@ -10,8 +10,8 @@ verify   run the invariant suites and print pass/fail per property
 
 Every record is one JSON object per line (tables can switch to CSV); output
 is bitwise deterministic for identical flags.  Exit codes: 0 success,
-1 numerical failure (budget exceeded, failed verification) or stdout
-closed before the output was written, 2 usage or domain error.
+1 numerical failure (budget exceeded, failed verification) or a failed
+write to stdout (its reader gone, its device full), 2 usage or domain error.
 """
 
 import argparse
@@ -103,15 +103,15 @@ def _cmd_f_table(args) -> int:
         i_values = explicit_i if explicit_i is not None else list(range(2, N // 4 + 1))
         for i in sorted(set(i_values)):
             # an invalid row is a usage error, raised before anything is printed
-            fermat.WedgeIndex(fermat.FormIndex(N, 1, i), fermat.FormIndex(N, 1, 2 * i))
-            rows.append((i, N))
+            w = fermat.WedgeIndex(fermat.FormIndex(N, 1, i), fermat.FormIndex(N, 1, 2 * i))
+            rows.append((i, N, w))
 
     def fmt(x: float) -> str:
         return repr(x) if args.full else f"{x:.6f}"
 
     failed = 0
     lines = []
-    for (i, N) in rows:
+    for (i, N, w) in rows:
         try:
             res = regulator.f_indec(i, N, cfg)
         except BudgetExceededError as exc:
@@ -124,12 +124,12 @@ def _cmd_f_table(args) -> int:
                 msg = str(exc).replace("\n", " ").replace('"', '""')
                 lines.append(f'{i},{N},,,"{msg}"')
             continue
+        hodge = fermat.is_hodge(w)
         if args.format == "json":
             lines.append(_record({"i": i, "N": N}, float(fmt(res.value)), res.err,
-                                 _PAIRING_PROVENANCE, res.effort, hodge=res.hodge))
+                                 _PAIRING_PROVENANCE, res.effort, hodge=hodge))
         else:
-            lines.append(f"{i},{N},{fmt(res.value)},{res.err:.3e},"
-                         f"{str(res.hodge).lower()}")
+            lines.append(f"{i},{N},{fmt(res.value)},{res.err:.3e},{str(hodge).lower()}")
 
     if args.format == "csv":
         sys.stdout.write("i,N,f,err,hodge\n")
@@ -199,11 +199,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", dest="N_b", type=int, required=True)
     p.add_argument("--c", dest="N_c", type=int, default=None)
     p.add_argument("--d", dest="N_d", type=int, default=None)
-    _add_cfg_flags(p)
+    p.add_argument("--tol", type=float, default=EvalConfig().tol,
+                   help="absolute tolerance (default 1e-8); each script-F term is "
+                        "asked for tol/4, so it does not yet bound the pairing's err")
     p.set_defaults(func=_cmd_reg)
 
     p = sub.add_parser("f-table", help="indecomposability statistics f(i, N)")
-    p.add_argument("--N", required=True, metavar="N1,N2,...")
+    p.add_argument("--N", required=True, metavar="N1,N2,...",
+                   help="primes N >= 5; N = 5 and 7 have no default rows, since "
+                        "2 <= i <= N/4 is empty, and print nothing (CSV: the header alone)")
     p.add_argument("--i", default=None, metavar="i1,i2,...",
                    help="row indices (default 2..floor(N/4) per modulus)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -235,12 +239,17 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # stdout's reader is gone: point fd 1 at devnull, so that the flush
-        # at interpreter shutdown does not fail a second time
+    except OSError as exc:
+        # the only file the commands write is stdout, and its reader is gone
+        # or its device full: point fd 1 at devnull, so that the flush at
+        # interpreter shutdown does not fail a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout was closed before the output was written",
-              file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            print("error: stdout was closed before the output was written",
+                  file=sys.stderr)
+        else:
+            print(f"error: writing stdout failed: {exc.strerror or exc}",
+                  file=sys.stderr)
         return 1
     except BudgetExceededError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

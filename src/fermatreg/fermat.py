@@ -14,7 +14,6 @@ from collections import namedtuple
 from .specialfn import DomainError, _validated_make, beta
 
 __all__ = [
-    "UnsupportedModulusError",
     "bracket",
     "is_in_IN",
     "genus",
@@ -26,10 +25,6 @@ __all__ = [
     "is_hodge",
     "is_prime",
 ]
-
-
-class UnsupportedModulusError(DomainError):
-    """Raised when an operation requires a prime modulus and N is not one."""
 
 
 def is_prime(n: int) -> bool:

@@ -21,13 +21,11 @@ eigenform component) so agreement can be checked instance by instance.
 
 import cmath
 import math
-from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul, truediv
 
-from .fermat import FormIndex, bracket, is_prime, mu_half, period, is_hodge, WedgeIndex
-from .fermat import UnsupportedModulusError
+from .fermat import FormIndex, bracket, is_prime, mu_half, period
 from .specialfn import (
     BudgetExceededError,
     DomainError,
@@ -35,7 +33,6 @@ from .specialfn import (
     EvalResult,
     Hyp3F2Params,
     _scaled,
-    _validated_make,
     algebraic_tail_sum,
     de_quadrature,
     gamma_ratio,
@@ -44,7 +41,6 @@ from .specialfn import (
 )
 
 __all__ = [
-    "FIndecResult",
     "script_F",
     "log_integral",
     "reg_holomorphic",
@@ -56,18 +52,6 @@ __all__ = [
 ]
 
 _EPS = math.ulp(1.0)
-
-
-class FIndecResult(namedtuple("FIndecResult", "value err effort hodge")):
-    """An f(i, N) table entry: value, error bound, work, and Hodge flag."""
-
-    __slots__ = ()
-    _make = _validated_make
-
-    def __new__(cls, value: float, err: float, effort: int, hodge: bool):
-        if not (err >= 0.0):
-            raise DomainError("error bound must be nonnegative")
-        return super().__new__(cls, value, err, effort, hodge)
 
 
 def _holomorphic(a: int, b: int, N: int) -> tuple[int, int]:
@@ -205,25 +189,23 @@ def im_reg_mixed(a: int, b: int, c: int, d: int, N: int,
     return _weighted_sum(terms, N, cfg)
 
 
-def f_indec(i: int, N: int, cfg: EvalConfig = EvalConfig()) -> FIndecResult:
+def f_indec(i: int, N: int, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Normalized indecomposability statistic f(i, N) for prime N.
 
-    f(i, N) = im_reg_mixed(1, i, 1, 2i, N) / (2 N^2), reported together with
-    whether the wedge ((1, i), (1, 2i)) spans a Hodge class.  A nonzero value
-    for a non-Hodge wedge certifies an indecomposable cycle.  The certified
-    err stays below cfg.tol.
+    f(i, N) = im_reg_mixed(1, i, 1, 2i, N) / (2 N^2).  A nonzero value
+    certifies an indecomposable cycle when the wedge ((1, i), (1, 2i)) is
+    not a Hodge class, which :func:`fermatreg.fermat.is_hodge` tests.  The
+    certified err stays below cfg.tol.
     """
     if not is_prime(N):
-        raise UnsupportedModulusError(f"f(i, N) is defined for prime N, got {N}")
+        raise DomainError(f"f(i, N) is defined for prime N, got {N}")
     # the pairing's err is at most (|mu_half(1,i)| + |mu_half(1,2i)|) * tol / 2
     # (two script-F terms at tol/4, each prefactor below 1), and
     # |mu_half(1, b, N)| < pi N, so after dividing by 2 N^2 the err stays
     # below (pi/4) cfg.tol when the pairing is asked for N * cfg.tol / 2
     rv = im_reg_mixed(1, i, 1, 2 * i, N, EvalConfig(N * cfg.tol / 2.0))
     scale = 2.0 * N * N
-    w = WedgeIndex(FormIndex(N, 1, i), FormIndex(N, 1, 2 * i))
-    return FIndecResult(rv.value / scale, rv.err / scale + _EPS, rv.effort,
-                        is_hodge(w))
+    return EvalResult(rv.value / scale, rv.err / scale + _EPS, rv.effort)
 
 
 # --- oracles ----------------------------------------------------------------

@@ -24,9 +24,7 @@ from operator import mul
 
 __all__ = [
     "DomainError",
-    "DivergentParametersError",
     "BudgetExceededError",
-    "NonFiniteSampleError",
     "EvalResult",
     "EvalConfig",
     "Hyp3F2Params",
@@ -43,11 +41,11 @@ _EPS = math.ulp(1.0)
 
 
 class DomainError(ValueError):
-    """An argument lies outside a function's mathematical domain."""
+    """An argument lies outside a function's mathematical domain.
 
-
-class DivergentParametersError(DomainError):
-    """Unit-argument series parameters with nonpositive excess and no end."""
+    This covers divergent series parameters, a modulus that is not prime
+    where one must be, and an integrand value that is NaN or infinite.
+    """
 
 
 class BudgetExceededError(RuntimeError):
@@ -59,10 +57,6 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, message: str, result: "EvalResult"):
         super().__init__(message)
         self.result = result
-
-
-class NonFiniteSampleError(ArithmeticError):
-    """An integrand returned NaN or infinity at an interior node."""
 
 
 # namedtuple's own `_make`, which `_replace` and `copy.replace` call, builds
@@ -212,7 +206,7 @@ def gauss_2f1_unit(a: float, b: float, c: float) -> float:
     """
     a, b, c = float(a), float(b), float(c)
     if not c - a - b > 0.0:
-        raise DivergentParametersError("2F1 at unit argument needs c - a - b > 0")
+        raise DomainError("2F1 at unit argument needs c - a - b > 0")
     return _half_certified("gauss_2f1_unit", (a, b, c), (c, c - a - b), (c - a, c - b))
 
 
@@ -242,7 +236,7 @@ def _ts_point(u: float) -> tuple[float, float, float]:
 def _call_integrand(f: Callable, x: float, xc: float):
     fv = f(x, xc)
     if not cmath.isfinite(fv):  # real or complex
-        raise NonFiniteSampleError(f"integrand not finite at x={x!r}")
+        raise DomainError(f"integrand not finite at x={x!r}")
     return fv
 
 
@@ -258,7 +252,8 @@ def de_quadrature(f: Callable, cfg: EvalConfig) -> EvalResult:
     the transformed axis, sized from the measured decay across the two
     outermost node rings; halving levels stop as soon as the estimate
     reaches ``cfg.tol`` and raise :class:`BudgetExceededError` (carrying the
-    best result) when 10 levels are exhausted first.
+    best result) when 10 levels are exhausted first.  An integrand value
+    that is NaN or infinite raises :class:`DomainError`.
     """
     effort = 0
     estimate = 0.0
@@ -456,7 +451,7 @@ def _integer_params(p: Hyp3F2Params) -> tuple[list[int], int, int, int, int]:
     a1, a2, a3, b1, b2 = (q.numerator * (D // q.denominator) for q in fr)
     s = b1 + b2 - a1 - a2 - a3
     if s <= 0 and _last_term([a1, a2, a3], D) is None:
-        raise DivergentParametersError(
+        raise DomainError(
             f"excess {_short(Fraction(s, D))} is not positive; the unit-argument series diverges")
     return [a1, a2, a3], b1, b2, s, D
 
@@ -489,11 +484,11 @@ def _thomae_pick(ups: list[int], b1: int, b2: int, s: int, D: int) -> int | None
 def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Evaluate 3F2(a1,a2,a3; b1,b2; 1) with a certified error bound.
 
-    Raises :class:`DivergentParametersError` unless the parameter excess
-    ``s = b1+b2-a1-a2-a3`` is positive or the series ends within the term
-    budget: an upper parameter -m, m <= 524 288, ends it at term m.  Raises
-    :class:`DomainError` when a series' first tail fit lies past the
-    budget, or its terms or sums leave the float range.
+    Raises :class:`DomainError` when the series diverges, since the
+    parameter excess ``s = b1+b2-a1-a2-a3`` is not positive and no upper
+    parameter -m, m <= 524 288, ends the series at term m; when a series'
+    first tail fit lies past the budget; and when its terms or sums leave
+    the float range.
 
     Transform.  Thomae's relation (Bailey 1935, 3.2) gives, for an upper
     parameter ``a`` with the other two ``o1``, ``o2``,

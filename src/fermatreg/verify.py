@@ -300,8 +300,9 @@ def _regulator_checks() -> list[CheckResult]:
     f = regulator.f_indec(2, 13)
     out.append(_check("f(2,13) against its printed reference",
                       abs(f.value - 0.0753593), 2e-6))
+    w = fermat.WedgeIndex(fermat.FormIndex(13, 1, 2), fermat.FormIndex(13, 1, 4))
     out.append(_check("wedge ((1,2),(1,4)) mod 13 is not Hodge",
-                      0.0 if not f.hodge else 1.0, 0.0))
+                      0.0 if not fermat.is_hodge(w) else 1.0, 0.0))
 
     pair_same = regulator.oracle_projector_pairing(1, 2, 1, 2, 5)
     pair_off = regulator.oracle_projector_pairing(1, 2, 2, 1, 5)

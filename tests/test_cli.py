@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from fermatreg.fermat import FormIndex, WedgeIndex, is_hodge, is_prime
 from fermatreg.regulator import f_indec
 from fermatreg.specialfn import EvalConfig
 
@@ -309,6 +310,26 @@ class TestFTableCommand:
         assert [r["inputs"]["i"] for r in recs] == [2, 3, 4, 5, 6, 7]
         assert all("error" not in r and r["err"] <= 1e-8 for r in recs)
 
+    @pytest.mark.parametrize("args", [
+        ("--N", ",".join(str(n) for n in range(11, 98) if is_prime(n))),
+        ("--N", "13", "--i", "2,4"),  # i = 4 is the Hodge member 3i + 1 = N
+    ], ids=["primes 11-97", "hodge row"])
+    def test_hodge_field_is_the_wedge_type_test(self, args):
+        def want(i, N):
+            return is_hodge(WedgeIndex(FormIndex(N, 1, i), FormIndex(N, 1, 2 * i)))
+
+        p = run_cli("f-table", *args)
+        assert p.returncode == 0, p.stderr
+        recs = records(p.stdout)
+        got = [(r["inputs"]["i"], r["inputs"]["N"], r["hodge"]) for r in recs]
+        assert got == [(i, N, want(i, N)) for i, N, _ in got]
+        assert any(h for _, _, h in got) == ("--i" in args)
+        p = run_cli("f-table", *args, "--format", "csv")
+        assert p.returncode == 0, p.stderr
+        rows = list(csv.reader(p.stdout.decode().splitlines()))[1:]
+        assert [(int(r[0]), int(r[1]), r[4]) for r in rows] == \
+            [(i, N, str(h).lower()) for i, N, h in got]
+
 
 class TestHodgeCommand:
     def test_single_query(self):
@@ -420,6 +441,21 @@ class TestClosedStdout:
         assert b"Traceback" not in err
         assert b"Exception ignored" not in err
         assert err.startswith(b"error: ") and err.count(b"\n") == 1, err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ("f-table", "--N", "13"),
+        ("hodge", "--N", "13", "--list"),
+        ("hyp3f2", "--a1", "1", "--a2", "1", "--a3", "1", "--b1", "2", "--b2", "2"),
+    ], ids=["f-table", "hodge", "hyp3f2"])
+    def test_full_device_exits_1_without_traceback(self, argv):
+        # every write to /dev/full fails with ENOSPC
+        with open("/dev/full", "wb") as full:
+            p = subprocess.run([sys.executable, "-m", "fermatreg", *argv],
+                               stdout=full, stderr=subprocess.PIPE, timeout=300)
+        assert p.returncode == 1
+        assert p.stderr.startswith(b"error: writing stdout failed: ")
+        assert p.stderr.count(b"\n") == 1, p.stderr
 
 
 class TestDeterminismAndCache:

@@ -9,9 +9,8 @@ import math
 import pytest
 
 from fermatreg import regulator
-from fermatreg.fermat import FormIndex, UnsupportedModulusError, bracket, period
+from fermatreg.fermat import FormIndex, WedgeIndex, bracket, is_hodge, period
 from fermatreg.regulator import (
-    FIndecResult,
     f_indec,
     im_reg_mixed,
     log_integral,
@@ -21,7 +20,7 @@ from fermatreg.regulator import (
     reg_holomorphic,
     script_F,
 )
-from fermatreg.specialfn import Hyp3F2Params, hyp3f2_unit
+from fermatreg.specialfn import Hyp3F2Params, de_quadrature, hyp3f2_unit
 from fermatreg.specialfn import BudgetExceededError, DomainError, EvalConfig, EvalResult, beta
 
 CFG = EvalConfig()
@@ -259,10 +258,9 @@ class TestFIndec:
     def test_frozen_values(self):
         for i, N, want in F_TABLE_FROZEN:
             r = f_indec(i, N, CFG)
-            assert isinstance(r, FIndecResult)
             assert abs(r.value - want) <= 1e-8, (i, N)
             assert abs(r.value - want) <= r.err + 1e-12, (i, N)
-            assert r.hodge is False
+            assert not is_hodge(WedgeIndex(FormIndex(N, 1, i), FormIndex(N, 1, 2 * i)))
 
     def test_scaling_against_mixed_regulator(self):
         i, N = 3, 13
@@ -288,12 +286,11 @@ class TestFIndec:
 
     def test_hodge_flag_positive_case(self):
         # at i = 4, N = 13 the wedge (1,4)^(1,8) satisfies 3i + 1 = N
-        r = f_indec(4, 13, CFG)
-        assert r.hodge is True
+        assert is_hodge(WedgeIndex(FormIndex(13, 1, 4), FormIndex(13, 1, 8)))
 
     def test_non_prime_rejected(self):
         for N in (9, 15, 21):
-            with pytest.raises(UnsupportedModulusError):
+            with pytest.raises(DomainError, match=f"defined for prime N, got {N}$"):
                 f_indec(2, N, CFG)
 
     def test_degenerate_i_rejected(self):
@@ -460,10 +457,22 @@ class TestProjectorOracles:
 
 
 class TestPairingSurface:
-    def test_result_types(self):
-        assert type(reg_holomorphic(1, 2, 5, CFG)) is EvalResult
-        assert type(im_reg_mixed(1, 2, 1, 4, 13, CFG)) is EvalResult
-        assert type(f_indec(2, 13, CFG)) is FIndecResult
+    @pytest.mark.parametrize("call", [
+        lambda: hyp3f2_unit(Hyp3F2Params(1, 1, 1, 2, 2), CFG),
+        lambda: de_quadrature(lambda x, xc: x, CFG),
+        lambda: script_F(1, 2, 3, 13, CFG),
+        lambda: log_integral(1, 2, 5, "x", CFG),
+        lambda: reg_holomorphic(1, 2, 5, CFG),
+        lambda: im_reg_mixed(1, 2, 1, 4, 13, CFG),
+        lambda: f_indec(2, 13, CFG),
+        lambda: oracle_series_sum(1, 2, 5, CFG),
+        lambda: oracle_projector_integral(1, 2, 1, 1, 5, "x", CFG),
+        lambda: oracle_projector_pairing(1, 2, 1, 2, 5, CFG),
+    ], ids=["hyp3f2_unit", "de_quadrature", "script_F", "log_integral",
+            "reg_holomorphic", "im_reg_mixed", "f_indec", "oracle_series_sum",
+            "oracle_projector_integral", "oracle_projector_pairing"])
+    def test_every_evaluator_returns_an_eval_result(self, call):
+        assert type(call()) is EvalResult
 
     # (2, 4) mod 5 is an eigenform label, but not a holomorphic one
     @pytest.mark.parametrize("call", [

@@ -14,12 +14,10 @@ import pytest
 from fermatreg import specialfn
 from fermatreg.specialfn import (
     BudgetExceededError,
-    DivergentParametersError,
     DomainError,
     EvalConfig,
     EvalResult,
     Hyp3F2Params,
-    NonFiniteSampleError,
     _LGAMMA_ULPS,
     _hurwitz_zeta,
     _hyp3f2_direct,
@@ -186,10 +184,11 @@ class TestHyp3F2:
         assert r.err == 0.0
 
     def test_divergent(self):
-        with pytest.raises(DivergentParametersError):
-            hyp3f2_unit(Hyp3F2Params(1, 1, 1, 1, 2), CFG)  # excess 0
-        with pytest.raises(DivergentParametersError):
-            hyp3f2_unit(Hyp3F2Params(2, 1, 1, 1, 2), CFG)  # excess -1
+        with pytest.raises(DomainError, match="^excess 0 is not positive; the unit-argument "
+                                              "series diverges$"):
+            hyp3f2_unit(Hyp3F2Params(1, 1, 1, 1, 2), CFG)
+        with pytest.raises(DomainError, match="^excess -1 is not positive"):
+            hyp3f2_unit(Hyp3F2Params(2, 1, 1, 1, 2), CFG)
 
     def test_frozen_small_excess(self):
         # 3F2(3/13, 1/13, 1; 4/13, 14/13; 1), excess 1/13
@@ -452,9 +451,9 @@ class TestQuadrature:
         assert abs(q.value + 1.0) <= q.err
 
     def test_non_finite_sample(self):
-        with pytest.raises(NonFiniteSampleError):
+        with pytest.raises(DomainError, match="^integrand not finite at x=0.5"):
             de_quadrature(lambda x, xc: math.inf if abs(x - 0.5) < 0.01 else 1.0, CFG)
-        with pytest.raises(NonFiniteSampleError):
+        with pytest.raises(DomainError, match="^integrand not finite at x="):
             de_quadrature(lambda x, xc: math.nan, CFG)
 
     def test_budget_exceeded(self):
@@ -528,7 +527,7 @@ class TestGauss2F1:
         assert gauss_2f1_unit(0.5, 0.5, 1.5) == pytest.approx(math.pi / 2.0, rel=1e-13)
 
     def test_divergent(self):
-        with pytest.raises(DivergentParametersError):
+        with pytest.raises(DomainError, match=r"^2F1 at unit argument needs c - a - b > 0$"):
             gauss_2f1_unit(1.0, 1.0, 2.0)
 
     def test_uncertified_value_is_a_domain_error(self):

@@ -5,7 +5,6 @@ from fractions import Fraction as Fr
 import pytest
 
 from fermatreg.fermat import FormIndex, WedgeIndex
-from fermatreg.regulator import FIndecResult
 from fermatreg.specialfn import DomainError, EvalConfig, EvalResult, Hyp3F2Params
 from fermatreg.verify import CheckResult
 
@@ -18,8 +17,6 @@ VALUES = [
     (lambda: FormIndex(13, 1, 2), ("N", "a", "b")),
     (lambda: WedgeIndex(FormIndex(13, 1, 2), FormIndex(13, 1, 4)),
      ("first", "second")),
-    (lambda: FIndecResult(0.059, 1e-9, 40, False),
-     ("value", "err", "effort", "hodge")),
     (lambda: CheckResult("beta symmetry", True, 0.0, 1e-13),
      ("name", "passed", "discrepancy", "threshold")),
 ]
@@ -69,8 +66,7 @@ def test_default_config_cannot_be_changed():
     lambda: EvalConfig(tol=float("nan")),
     lambda: EvalConfig(tol=-1e-8),
     lambda: FormIndex(2, 1, 1),
-    lambda: FIndecResult(0.1, -1.0, 5, False),
-], ids=["err nan", "tol nan", "tol<0", "N<3", "FIndecResult err<0"])
+], ids=["err nan", "tol nan", "tol<0", "N<3"])
 def test_invalid_fields_raise_domain_error(make):
     with pytest.raises(DomainError):
         make()
@@ -88,9 +84,7 @@ def test_reduced_labels_compare_equal():
     lambda: FormIndex(13, 1, 2)._replace(a=13),
     lambda: WedgeIndex(FormIndex(13, 1, 2), FormIndex(13, 1, 4))
     ._replace(second=FormIndex(13, 6, 8)),
-    lambda: FIndecResult(0.059, 1e-9, 40, False)._replace(err=-1.0),
-], ids=["EvalResult", "EvalConfig tol", "Hyp3F2Params", "FormIndex", "WedgeIndex",
-        "FIndecResult"])
+], ids=["EvalResult", "EvalConfig tol", "Hyp3F2Params", "FormIndex", "WedgeIndex"])
 def test_replace_validates(make):
     with pytest.raises(DomainError):
         make()
