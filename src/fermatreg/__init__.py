@@ -48,7 +48,6 @@ from .regulator import (
     im_reg_mixed,
     log_integral,
     oracle_projector_integral,
-    oracle_projector_pairing,
     oracle_series_sum,
     reg_holomorphic,
     script_F,
@@ -65,6 +64,6 @@ __all__ = [
     "is_prime", "mu", "mu_half", "period",
     # regulator
     "f_indec", "im_reg_mixed", "log_integral",
-    "oracle_projector_integral", "oracle_projector_pairing",
-    "oracle_series_sum", "reg_holomorphic", "script_F",
+    "oracle_projector_integral", "oracle_series_sum", "reg_holomorphic",
+    "script_F",
 ]

@@ -8,10 +8,12 @@ f-table  the f(i, N) indecomposability table for a list of moduli
 hodge    Hodge test for a wedge of holomorphic forms, or enumerate all pairs
 verify   run the invariant suites and print pass/fail per property
 
-Every record is one JSON object per line (tables can switch to CSV); output
-is bitwise deterministic for identical flags.  Exit codes: 0 success,
-1 numerical failure (budget exceeded, failed verification) or a failed
-write to stdout (its reader gone, its device full), 2 usage or domain error.
+Every record is one JSON object per line (tables can switch to CSV); each
+value and err is printed as its float's repr, so it parses back bit for
+bit.  Output is bitwise deterministic for identical flags.  Exit codes:
+0 success, 1 numerical failure (budget exceeded, failed verification) or a
+failed write to stdout (its reader gone, its device full), 2 usage or
+domain error.
 """
 
 import argparse
@@ -106,9 +108,6 @@ def _cmd_f_table(args) -> int:
             w = fermat.WedgeIndex(fermat.FormIndex(N, 1, i), fermat.FormIndex(N, 1, 2 * i))
             rows.append((i, N, w))
 
-    def fmt(x: float) -> str:
-        return repr(x) if args.full else f"{x:.6f}"
-
     failed = 0
     lines = []
     for (i, N, w) in rows:
@@ -126,10 +125,10 @@ def _cmd_f_table(args) -> int:
             continue
         hodge = fermat.is_hodge(w)
         if args.format == "json":
-            lines.append(_record({"i": i, "N": N}, float(fmt(res.value)), res.err,
+            lines.append(_record({"i": i, "N": N}, res.value, res.err,
                                  _PAIRING_PROVENANCE, res.effort, hodge=hodge))
         else:
-            lines.append(f"{i},{N},{fmt(res.value)},{res.err:.3e},{str(hodge).lower()}")
+            lines.append(f"{i},{N},{res.value!r},{res.err!r},{str(hodge).lower()}")
 
     if args.format == "csv":
         sys.stdout.write("i,N,f,err,hodge\n")
@@ -204,15 +203,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         "asked for tol/4, so it does not yet bound the pairing's err")
     p.set_defaults(func=_cmd_reg)
 
-    p = sub.add_parser("f-table", help="indecomposability statistics f(i, N)")
+    p = sub.add_parser("f-table", help="indecomposability statistics f(i, N), "
+                       "each value and err printed in full")
     p.add_argument("--N", required=True, metavar="N1,N2,...",
                    help="primes N >= 5; N = 5 and 7 have no default rows, since "
                         "2 <= i <= N/4 is empty, and print nothing (CSV: the header alone)")
     p.add_argument("--i", default=None, metavar="i1,i2,...",
                    help="row indices (default 2..floor(N/4) per modulus)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--full", action="store_true",
-                   help="full float precision instead of six decimals")
     _add_cfg_flags(p)
     p.set_defaults(func=_cmd_f_table)
 

@@ -48,7 +48,6 @@ __all__ = [
     "f_indec",
     "oracle_series_sum",
     "oracle_projector_integral",
-    "oracle_projector_pairing",
 ]
 
 _EPS = math.ulp(1.0)
@@ -299,14 +298,7 @@ def _roots(N: int) -> list[complex]:
     return [cmath.exp(complex(0.0, 2.0 * math.pi * k / N)) for k in range(N)]
 
 
-def _projector_norm(a: int, b: int, N: int, cfg: EvalConfig) -> tuple[float, EvalConfig]:
-    """N^2 times the (a, b) period, and the config that asks each kernel
-    integral for the share of cfg.tol that survives division by it."""
-    norm = N * N * period(FormIndex(N, a, b))
-    return norm, EvalConfig(max(cfg.tol * abs(norm) / (8.0 * N), 1e-14))
-
-
-def _projector_average(qs: list[EvalResult], effort: int, a: int, b: int,
+def _projector_average(qs: list[EvalResult], a: int, b: int,
                        c: int, d: int, N: int, norm: float) -> EvalResult:
     """The (c, d) component of the (a, b)-twisted kernel integrals K_r.
 
@@ -315,7 +307,8 @@ def _projector_average(qs: list[EvalResult], effort: int, a: int, b: int,
     over r, s in Z/N of z^((a-c) r + (b-d) s) K_r, divided by ``norm``.
     Averaging out J's translate means first would change nothing: each mean
     carries a factor sum_r z^(-c r) or sum_s z^(-d s), which is 0 because
-    c, d are nonzero mod N for every holomorphic label.
+    c, d are nonzero mod N for every holomorphic label.  ``effort`` is the
+    nodes of all N quadratures.
     """
     z = _roots(N)
     K = [q.value / N for q in qs]
@@ -326,7 +319,8 @@ def _projector_average(qs: list[EvalResult], effort: int, a: int, b: int,
             total += z[((a - c) * r + (b - d) * s) % N] * K[r]
     value = total / norm
     err = 4.0 * K_err * N * N / abs(norm)
-    return EvalResult(value, err + 16.0 * _EPS * (1.0 + abs(value)), effort)
+    return EvalResult(value, err + 16.0 * _EPS * (1.0 + abs(value)),
+                      sum(q.effort for q in qs))
 
 
 def oracle_projector_integral(a: int, b: int, c: int, d: int, N: int,
@@ -345,7 +339,10 @@ def oracle_projector_integral(a: int, b: int, c: int, d: int, N: int,
         "y" result = -[a==c] * F(b, <d-b>, a),
 
     up to the certified error bounds, which is what makes it an independent
-    check on them.  Returns a complex-valued result.
+    check on them, of the normalization and the projection too: a wrong
+    one misses the closed form, or leaves a nonzero value on mismatched
+    labels.  Each integral is asked for the share of cfg.tol that survives
+    the division by the norm.  Returns a complex-valued result.
     """
     a, b = _holomorphic(a, b, N)
     c, d = _holomorphic(c, d, N)
@@ -353,7 +350,8 @@ def oracle_projector_integral(a: int, b: int, c: int, d: int, N: int,
         a, b, c, d = b, a, d, c
     elif variable != "x":
         raise DomainError("variable must be 'x' or 'y'")
-    norm, inner = _projector_norm(a, b, N, cfg)
+    norm = N * N * period(FormIndex(N, a, b))
+    inner = EvalConfig(max(cfg.tol * abs(norm) / (8.0 * N), 1e-14))
     e1 = a / N - 1.0
     e2 = b / N - 1.0
 
@@ -364,22 +362,4 @@ def oracle_projector_integral(a: int, b: int, c: int, d: int, N: int,
         return lambda x, xc: cmath.log(1.0 - zr * x ** (1.0 / N)) * x ** e1 * xc ** e2
 
     qs = [de_quadrature(integrand(zr), inner) for zr in _roots(N)]
-    return _projector_average(qs, sum(q.effort for q in qs), a, b, c, d, N, norm)
-
-
-def oracle_projector_pairing(a: int, b: int, c: int, d: int, N: int,
-                             cfg: EvalConfig = EvalConfig()) -> EvalResult:
-    """Projection with the log factor replaced by 1.
-
-    Computes the pairing of the normalized (a, b) form against the (c, d)
-    projector as :func:`oracle_projector_integral` does, from one
-    quadrature that serves all N kernel values; the result is 1 when
-    (c, d) = (a, b) and 0 otherwise, which calibrates the normalization.
-    """
-    a, b = _holomorphic(a, b, N)
-    c, d = _holomorphic(c, d, N)
-    norm, inner = _projector_norm(a, b, N, cfg)
-    e1 = a / N - 1.0
-    e2 = b / N - 1.0
-    q = de_quadrature(lambda x, xc: x ** e1 * xc ** e2, inner)
-    return _projector_average([q] * N, q.effort, a, b, c, d, N, norm)
+    return _projector_average(qs, a, b, c, d, N, norm)

@@ -251,12 +251,14 @@ def de_quadrature(f: Callable, cfg: EvalConfig) -> EvalResult:
     inter-level difference with a tail allowance for the truncated ends of
     the transformed axis, sized from the measured decay across the two
     outermost node rings; halving levels stop as soon as the estimate
-    reaches ``cfg.tol`` and raise :class:`BudgetExceededError` (carrying the
-    best result) when 10 levels are exhausted first.  An integrand value
+    reaches ``cfg.tol`` and raise :class:`BudgetExceededError` when 10
+    levels are exhausted first, carrying the smallest-err estimate of the
+    levels from 2 on and the effort of every node.  An integrand value
     that is NaN or infinite raises :class:`DomainError`.
     """
     effort = 0
     estimate = 0.0
+    best = None
     for level in range(_QUAD_LEVELS + 1):
         h = _H0 * 0.5 ** level
         n = int(_U_MAX / h)
@@ -291,12 +293,14 @@ def de_quadrature(f: Callable, cfg: EvalConfig) -> EvalResult:
         else:
             trunc = 2.0 * _U_MAX * g_out
         err = diff + trunc + 8.0 * _EPS * (1.0 + abs(estimate))
-        if err <= cfg.tol and level >= 2:
-            return EvalResult(estimate, err, effort)
-
-    best = EvalResult(estimate, err, effort)
+        if level >= 2:
+            if err <= cfg.tol:
+                return EvalResult(estimate, err, effort)
+            if best is None or err < best[1]:
+                best = estimate, err
     raise BudgetExceededError(
-        f"tolerance {cfg.tol:g} not reached in {_QUAD_LEVELS} halving levels", best)
+        f"tolerance {cfg.tol:g} not reached in {_QUAD_LEVELS} halving levels",
+        EvalResult(*best, effort))
 
 
 def one_minus_root(x: float, xc: float, n: int) -> float:
@@ -520,16 +524,17 @@ def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     ends at term m; that end is its one checkpoint, with no tail.
 
     Error.  ``err`` adds the tail model's error, the recurrence drift
-    ``2 eps sum k|t_k|``, the rounding of the sums, and, for a transformed
-    series, the Gamma prefactor's rounding (see :func:`gamma_ratio`)
-    scaled onto the value.  One rule ends every series: a checkpoint
-    whose ``err`` is at most ``cfg.tol`` is returned, and otherwise
-    :class:`BudgetExceededError` is raised, carrying the result with the
-    smallest ``err`` and an ``effort`` that counts every term summed.  It
-    is raised after the last checkpoint, or as soon as ``err`` has
-    stopped falling and a floor that no later checkpoint's ``err`` can go
-    below, the drift and sum rounding so far plus the prefactor's
-    rounding, passes ``cfg.tol``.
+    ``2 eps sum k|t_k|`` (a proved bound: each term ratio is one correctly
+    rounded int quotient, so t_k rounds 2k times), the rounding of the
+    sums, and, for a transformed series, the Gamma prefactor's rounding
+    (see :func:`gamma_ratio`) scaled onto the value.  One rule ends every
+    series: a checkpoint whose ``err`` is at most ``cfg.tol`` is returned,
+    and otherwise :class:`BudgetExceededError` is raised, carrying the
+    result with the smallest ``err`` and an ``effort`` that counts every
+    term summed.  It is raised after the last checkpoint, or as soon as
+    ``err`` has stopped falling and a floor that no later checkpoint's
+    ``err`` can go below, the drift and sum rounding so far plus the
+    prefactor's rounding, passes ``cfg.tol``.
     """
     if 0 in (p.a1, p.a2, p.a3):
         return EvalResult(1.0, 0.0, 1)
@@ -560,7 +565,7 @@ def _hyp3f2_direct(p: Hyp3F2Params, cfg: EvalConfig) -> EvalResult:
 def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
                 cfg: EvalConfig, pref: float = 1.0, rel: float = 0.0) -> EvalResult:
     """pref * 3F2(ups/D; b1/D, b2/D; 1), where s/D is the excess and
-    ``rel`` bounds the relative error of ``pref``."""
+    ``rel`` bounds the relative error of ``pref``; term ratios are in ints."""
     # a series that ends has that end as its one checkpoint, where nothing
     # is left for a tail to close
     last = _last_term(ups, D)
@@ -574,12 +579,11 @@ def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
         if not checkpoints:
             raise DomainError(f"series parameter {_short(Fraction(big, D))} needs a first tail "
                               f"fit past the {_TERM_BUDGET}-term budget")
-    a1, a2, a3 = (n / D for n in ups)
-    c1, c2 = b1 / D, b2 / D
+    n1, n2, n3 = ups
 
     block_sums: list[float] = []
     abs_sum = 1.0
-    drift = 0.0   # sum of k*|t_k|: the recurrence loses ~k ulps by term k
+    drift = 0.0   # sum of k*|t_k|: t_k errs by at most k eps relative
     t = 1.0       # term at k = 0
     count = 1     # terms summed so far (k = 0 included)
 
@@ -593,10 +597,10 @@ def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
         while count <= K:
             n = min(_BLOCK, K + 1 - count)
             block = []
-            x = count - 1.0
-            for _ in range(n):
-                t *= (a1 + x) * (a2 + x) * (a3 + x) / ((c1 + x) * (c2 + x) * (x + 1.0))
-                x += 1.0
+            # term k's ratio, at x = (k-1) D, is one correctly rounded int
+            # quotient, and the product rounds once more: two roundings a term
+            for x in range((count - 1) * D, (count + n - 1) * D, D):
+                t *= (n1 + x) * (n2 + x) * (n3 + x) / ((b1 + x) * (b2 + x) * (x + D))
                 block.append(t)
             if not math.isfinite(t):  # inf and nan persist to the block's end
                 raise DomainError(f"terms leave the float range by term {count + n - 1}")

@@ -304,13 +304,6 @@ def _regulator_checks() -> list[CheckResult]:
     out.append(_check("wedge ((1,2),(1,4)) mod 13 is not Hodge",
                       0.0 if not fermat.is_hodge(w) else 1.0, 0.0))
 
-    pair_same = regulator.oracle_projector_pairing(1, 2, 1, 2, 5)
-    pair_off = regulator.oracle_projector_pairing(1, 2, 2, 1, 5)
-    out.append(_check("projector pairing calibration: matching label gives 1",
-                      abs(pair_same.value - 1.0), pair_same.err + 1e-8))
-    out.append(_check("projector pairing calibration: mismatched label gives 0",
-                      abs(pair_off.value), pair_off.err + 1e-8))
-
     br = regulator.oracle_projector_integral(1, 2, 1, 1, 5, "y")
     closed = -regulator.script_F(2, fermat.bracket(1 - 2, 5), 1, 5).value
     out.append(_check("projector integral vs script-F closed form",

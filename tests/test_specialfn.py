@@ -429,6 +429,62 @@ class TestHyp3F2:
         assert r1.err == r2.err and r1.effort == r2.effort
 
 
+def summation_theorem(family, x, y, z):
+    """The 3F2 parameters of Dixon's, Watson's or Whipple's sum with free
+    parameters x, y, z, and the theorem's Gamma product in mpmath at 40
+    digits as a Fraction (Bailey 1935, 3.1-3.4; DLMF 16.4.4, 16.4.6, 16.4.7)."""
+    mpmath = pytest.importorskip("mpmath")
+    x, y, z = Fr(x), Fr(y), Fr(z)
+    params = {"dixon": (x, y, z, 1 + x - y, 1 + x - z),
+              "watson": (x, y, z, (x + y + 1) / 2, 2 * z),
+              "whipple": (x, 1 - x, y, z, 1 + 2 * y - z)}[family]
+    with mpmath.workdps(40):
+        a, b, c = (mpmath.mpf(q.numerator) / q.denominator for q in (x, y, z))
+        if family == "dixon":
+            ref = mpmath.gammaprod([a / 2 + 1, a - b + 1, a - c + 1, a / 2 - b - c + 1],
+                                   [a + 1, a / 2 - b + 1, a / 2 - c + 1, a - b - c + 1])
+        elif family == "watson":
+            ref = mpmath.sqrt(mpmath.pi) * mpmath.gammaprod(
+                [c + 0.5, (a + b + 1) / 2, c - (a + b - 1) / 2],
+                [(a + 1) / 2, (b + 1) / 2, c - (a - 1) / 2, c - (b - 1) / 2])
+        else:  # Whipple's, with y and z the theorem's c and e
+            ref = mpmath.pi * 2 ** (1 - 2 * b) * mpmath.gammaprod(
+                [c, 1 + 2 * b - c],
+                [(a + c) / 2, (a + 1 + 2 * b - c) / 2, (1 - a + c) / 2, (2 - a + 2 * b - c) / 2])
+        return Hyp3F2Params(*params), Fr(mpmath.nstr(ref, 40))
+
+
+# summed directly, each with a parameter just off a non-positive integer;
+# each lay 1.7 to 3.6 errs from its sum while a term ratio was five float
+# factors, which cancel there
+DRIFT_SETS = [
+    ("watson", "-23/8", "-37/9", "23/2"),
+    ("watson", "-105/29", "8/13", "8"),
+    ("dixon", "-49/11", "-21/5", "-7/15"),
+    ("dixon", "-45/14", "-1/5", "-11/2"),
+]
+
+# summed directly, and certified at the first checkpoint by a tail fit whose
+# model_err falls short of its true error
+TAIL_FIT_SETS = [
+    pytest.param(*s, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 3: fitted-tail model_err"))
+    for s in (("watson", "-1/2", "-31/19", "-6/7"),
+              ("dixon", "1/2", "4", "-11/3"),
+              ("whipple", "-17/4", "57/16", "8"),
+              ("whipple", "14/3", "27/8", "2/3"),
+              ("watson", "-51/13", "76/7", "49/8"))
+]
+
+
+class TestSummationTheoremSets:
+    @pytest.mark.parametrize("family, x, y, z", DRIFT_SETS + TAIL_FIT_SETS, ids=str)
+    def test_value_lies_within_err(self, family, x, y, z):
+        p, ref = summation_theorem(family, x, y, z)
+        r = hyp3f2_unit(p, CFG)
+        assert abs(Fr(r.value) - ref) <= Fr(r.err)
+
+
 class TestQuadrature:
     def test_constant(self):
         q = de_quadrature(lambda x, xc: 1.0, CFG)
@@ -461,6 +517,20 @@ class TestQuadrature:
             de_quadrature(lambda x, xc: x ** (-0.5) * xc ** (-0.5),
                           EvalConfig(tol=1e-300))
         assert abs(ei.value.result.value - math.pi) <= 1e-6
+
+    def test_budget_failure_carries_the_smallest_err(self):
+        # the last level's err, 5.81e-14, is not the smallest; the failure
+        # carries no larger an err than the 97-node result certified at 1e-10
+        def f(x, xc):
+            return x ** -0.9 * xc ** -0.9
+
+        loose = de_quadrature(f, EvalConfig(tol=1e-10))
+        with pytest.raises(BudgetExceededError) as ei:
+            de_quadrature(f, EvalConfig(tol=1e-14))
+        best = ei.value.result
+        assert best.err <= loose.err
+        assert abs(best.value - loose.value) <= best.err + loose.err
+        assert best.effort == 24781
 
     def test_complex_integrand(self):
         q = de_quadrature(lambda x, xc: complex(1.0, 2.0 * x), CFG)

@@ -44,11 +44,10 @@ def test_fermat_suite_builds_each_label_once(monkeypatch):
 
 
 def test_suites_run_a_fixed_number_of_quadratures(monkeypatch):
-    # two in the special-function checks; in the regulator checks one for
-    # each projector pairing, however large N, and five for the projector
-    # integral at N = 5
+    # two in the special-function checks; in the regulator checks five, one
+    # for each kernel integral of the projector oracle at N = 5
     calls = [_counted(monkeypatch, m, "de_quadrature") for m in (specialfn, regulator)]
     assert all(r.passed for r in verify._special_checks())
     assert [c[0] for c in calls] == [2, 0]
     assert all(r.passed for r in verify._regulator_checks())
-    assert [c[0] for c in calls] == [2, 7]
+    assert [c[0] for c in calls] == [2, 5]
