@@ -99,42 +99,41 @@ def _cmd_f_table(args) -> int:
         if not fermat.is_prime(N):
             raise DomainError(f"f-table needs prime N, got {N}")
     explicit_i = _parse_int_list(args.i) if args.i else None
+    if explicit_i is not None:
+        # an invalid row is a usage error, raised before anything is printed
+        rows = [(i, N, _f_table_wedge(i, N)) for N in moduli for i in sorted(set(explicit_i))]
+    else:
+        # 1 + 2i < N for every default row of a prime N >= 5: each is valid,
+        # and they are made one at a time, however many N // 4 is
+        rows = ((i, N, _f_table_wedge(i, N)) for N in moduli for i in range(2, N // 4 + 1))
 
-    rows = []
-    for N in moduli:
-        i_values = explicit_i if explicit_i is not None else list(range(2, N // 4 + 1))
-        for i in sorted(set(i_values)):
-            # an invalid row is a usage error, raised before anything is printed
-            w = fermat.WedgeIndex(fermat.FormIndex(N, 1, i), fermat.FormIndex(N, 1, 2 * i))
-            rows.append((i, N, w))
-
+    # each row is written as soon as it is computed, so a closed pipe stops the table
+    if args.format == "csv":
+        print("i,N,f,err,hodge", flush=True)
     failed = 0
-    lines = []
     for (i, N, w) in rows:
         try:
             res = regulator.f_indec(i, N, cfg)
         except BudgetExceededError as exc:
             failed += 1
             if args.format == "json":
-                lines.append(json.dumps({"inputs": {"i": i, "N": N},
-                                         "error": str(exc)}))
+                print(json.dumps({"inputs": {"i": i, "N": N}, "error": str(exc)}), flush=True)
             else:
                 # one quoted field, so a comma in the message stays in it
                 msg = str(exc).replace("\n", " ").replace('"', '""')
-                lines.append(f'{i},{N},,,"{msg}"')
+                print(f'{i},{N},,,"{msg}"', flush=True)
             continue
         hodge = fermat.is_hodge(w)
         if args.format == "json":
-            lines.append(_record({"i": i, "N": N}, res.value, res.err,
-                                 _PAIRING_PROVENANCE, res.effort, hodge=hodge))
+            print(_record({"i": i, "N": N}, res.value, res.err,
+                          _PAIRING_PROVENANCE, res.effort, hodge=hodge), flush=True)
         else:
-            lines.append(f"{i},{N},{res.value!r},{res.err!r},{str(hodge).lower()}")
-
-    if args.format == "csv":
-        sys.stdout.write("i,N,f,err,hodge\n")
-    for line in lines:
-        sys.stdout.write(line + "\n")
+            print(f"{i},{N},{res.value!r},{res.err!r},{str(hodge).lower()}", flush=True)
     return 1 if failed else 0
+
+
+def _f_table_wedge(i: int, N: int) -> fermat.WedgeIndex:
+    return fermat.WedgeIndex(fermat.FormIndex(N, 1, i), fermat.FormIndex(N, 1, 2 * i))
 
 
 def _cmd_hodge(args) -> int:

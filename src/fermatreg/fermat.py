@@ -158,6 +158,11 @@ def is_hodge(w: WedgeIndex) -> bool:
     """
     N = w.N
     a, b, c, d = w.first.a, w.first.b, w.second.a, w.second.b
+    if is_prime(N):
+        # the criterion makes a, b, -a-b, -c, -d, c+d a Hodge element; for
+        # prime N it splits into pairs summing to 0 mod N (Shioda, loc. cit.),
+        # none within one triple, so the multisets agree: no loop over units
+        return sorted((a, b, -(a + b) % N)) == sorted((c, d, -(c + d) % N))
     for t in range(2, (N + 1) // 2):
         if ((t * a % N + t * b % N < N) != (t * c % N + t * d % N < N)
                 and math.gcd(t, N) == 1):

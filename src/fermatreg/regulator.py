@@ -218,26 +218,29 @@ def oracle_series_sum(a: int, b: int, N: int,
 
     Regroups the double series behind the log-kernel integral (equal to
     -log_integral(a, b, N, "x")); terms are positive and decay like
-    j^(-1-b/N), so the tail is closed with the fitted Hurwitz-zeta model.
-    The model is fitted at the half point K/2 as well as at K, and the
-    disagreement of the two completed sums bounds the tail defect: the true
-    defect shrinks by ~2^(4+s) between the fits, so their gap over-covers
-    the reported value's error by an order of magnitude.
+    j^(-1-b/N).  In x = j/N the term is the Gamma ratio
+    G(b/N) G(x + a/N) G(x) / (N^2 G(x + (a+b)/N) G(x + 1)), so the tail
+    past the K-th term is closed by :func:`algebraic_tail_sum` from its
+    exact expansion in 1/x, anchored on the K-th term.  The expansion is
+    in shift / x, so the first checkpoint has K/N at least 8 times the
+    largest shift, max((a+b)/N, 1); a label with max(a+b, N) > 4096 has
+    none within the 32768 terms, and raises :class:`DomainError`.
 
     The terms are built per residue class j = r (mod N):
     B((a+r)/N, b/N) comes from :func:`gamma_ratio` with its relative
     bound, and each step j -> j + N applies the exact recurrence
     B(m+1, n) = B(m, n) m/(m+n), where m/(m+n) is the ratio of ints
     (a+j)/(a+b+j), rounded once.  The ratio, the product and the final
-    division by j N round once each, so with K terms every term is charged
-    the Gamma ratio's bound plus 2 eps (K//N + 2).  That charge is the tail
-    fit's ``rel_noise`` and enters ``err`` on the summed value.
+    division by j N round once each, so with K terms every term, and the
+    tail through its anchor, is charged the Gamma ratio's bound plus
+    2 eps (K//N + 2), on the summed value.  ``err`` adds that charge, the
+    sums' rounding and the tail's ``model_err``.
 
-    So ``err`` is U-shaped in K: the tail defect falls with K, but the
-    charge per term grows with it.  K runs through the checkpoints
-    1024 * 2^m up to 32768, all on :func:`hyp3f2_unit`'s grid of tail
-    fits, and each checkpoint continues every class's recurrence where the
-    last one stopped, so the first K terms have the same bits whatever
+    So ``err`` is U-shaped in K: the tail's ``model_err`` falls with K,
+    but the charge per term grows with it.  K runs through the
+    checkpoints 1024 * 2^m up to 32768, all on :func:`hyp3f2_unit`'s grid
+    of tails, and each checkpoint continues every class's recurrence where
+    the last one stopped, so the first K terms have the same bits whatever
     checkpoint the search reaches.  The search stops at the first
     checkpoint whose err is not below the previous one's and returns the
     smallest-err result; ``effort`` counts every term built.  If that err
@@ -245,18 +248,17 @@ def oracle_series_sum(a: int, b: int, N: int,
     and its K, and carries that result.
     """
     _, a_r, b_r = FormIndex(N, a, b)
-    s = b_r / N
+    # the tail expands in 1/x, x = j/N, from the shifts a/N, 0 over
+    # (a+b)/N, 1: its first checkpoint has x >= 8 times the largest
+    checkpoints = [K for K in _SERIES_CHECKPOINTS if K >= 8 * max(a_r + b_r, N)]
+    if not checkpoints:
+        raise DomainError(f"series oracle ({a_r}, {b_r}; {N}) needs a first tail past "
+                          f"its {_SERIES_CHECKPOINTS[-1]}-term budget")
     terms = []
     last = {}  # residue class r -> B((a+j)/N, b/N) at the class's last j built
     beta_rel = 0.0
-
-    def completed(k_top: int) -> tuple[float, float]:
-        tail, model_err = algebraic_tail_sum(
-            lambda k: terms[k - 1], k_top, s, rel_noise=rel)
-        return math.fsum(terms[:k_top]) + tail, model_err
-
-    best = half = None
-    for K in _SERIES_CHECKPOINTS:
+    best = None
+    for K in checkpoints:
         built = len(terms)
         terms += [0.0] * (K - built)
         for r in range(1, min(N, K) + 1):
@@ -275,15 +277,13 @@ def oracle_series_sum(a: int, b: int, N: int,
             last[r] = betas[-1]
             terms[j - 1::N] = map(truediv, betas, range(j * N, K * N + 1, N * N))
         rel = beta_rel + 2.0 * _EPS * (K // N + 2)
-        if half is None:
-            half, _ = completed(K // 2)
-        value, model_err = completed(K)
-        err = (abs(value - half) + model_err + (rel + 4.0 * _EPS) * abs(value)
-               + 1e-18)
+        tail, model_err = algebraic_tail_sum(terms[K - 1], K, (a_r, 0), (a_r + b_r, N), N, N)
+        value = math.fsum(terms) + tail
+        # every term, and the tail through its anchor, errs by rel at most
+        err = model_err + (rel + 4.0 * _EPS) * abs(value)
         if best is not None and err >= best[1]:
             break
         best = value, err, K
-        half = value  # the next checkpoint's half point is this one
     value, err, K = best
     result = EvalResult(value, err, len(terms))
     if err > cfg.tol:

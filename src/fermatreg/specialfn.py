@@ -6,7 +6,8 @@ for integrands with endpoint singularities.
 The 3F2 evaluator first applies a Thomae transform, chosen from the
 parameters alone, that raises the series excess (to at least 1 for every
 script-F term), then sums the series in a plain Python loop and closes the
-algebraic tail with a fitted Hurwitz-zeta model (the accelerated series).
+algebraic tail from the term's exact large-k expansion, summed with Hurwitz
+zetas (the accelerated series).
 Parameters are carried as exact rationals; floats appear only inside kernels.
 The module needs nothing beyond the standard library.  All operations are
 pure, stateless and thread-safe.  Summation order is fixed (ascending k) and
@@ -355,74 +356,68 @@ def _hurwitz_zeta(s: float, a: float, scale: float = 1.0) -> float:
     return head + a * lead / (s - 1.0) + 0.5 * lead + em
 
 
-def _tail_nodes(k_top: int) -> list[int]:
-    """The four term indices the tail fit samples, k_top first."""
-    step = max(1, k_top // 8)
-    return [k_top, k_top - step, k_top - 2 * step, k_top - 3 * step]
+# Stirling's series (DLMF 5.11.8): for each shift h, as z -> infinity,
+#     log Gamma(z + h) = (z + h - 1/2) log z - z + log(2 pi) / 2
+#                        + sum_{n>=1} (-1)^(n+1) B_(n+1)(h) / (n (n+1) z^n),
+# where B_m(h) = sum_k C(m, k) B_k h^(m-k).  Row n holds that polynomial's
+# coefficients times 210 (-1)^(n+1), highest power first: 210 is the lcm of
+# the denominators of B_0 .. B_9 (B_1 = -1/2), so every entry is an int
+_TAIL_ORDERS = 8  # orders z^-p, p < 8, close the tail; order 8 sizes model_err
+_BERNOULLI_210 = (210, -105, 35, 0, -7, 0, 5, 0, -7, 0)
+_STIRLING = tuple(tuple((-1) ** (n + 1) * math.comb(n + 1, k) * _BERNOULLI_210[k]
+                        for k in range(n + 2))
+                  for n in range(1, _TAIL_ORDERS + 1))
 
 
-def _gauss_jordan(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
-    """X with a X = b, for a small nonsingular ``a``, by Gauss-Jordan
-    elimination with partial pivoting; ``b`` holds the right-hand sides as
-    columns, so an identity block there yields the inverse."""
-    n = len(a)
-    rows = [ra + rb for ra, rb in zip(a, b)]
-    for c in range(n):
-        piv = c
-        for r in range(c + 1, n):
-            if abs(rows[r][c]) > abs(rows[piv][c]):
-                piv = r
-        rows[c], rows[piv] = rows[piv], rows[c]
-        pivot = rows[c][c]
-        prow = rows[c] = [v / pivot for v in rows[c]]
-        for r in range(n):
-            f = rows[r][c]
-            if r != c and f != 0.0:
-                rows[r] = [v - f * w for v, w in zip(rows[r], prow)]
-    return [row[n:] for row in rows]
+def algebraic_tail_sum(t_top: float, k_top: int, ups: Sequence[int], downs: Sequence[int],
+                       den: int, unit: int = 1) -> tuple[float, float]:
+    """Close sum_{k > k_top} t_k, given t_top = t_(k_top), for terms
 
+        t_k = C prod_(m in ups) Gamma(z + m/den) / prod_(m in downs) Gamma(z + m/den),
 
-def algebraic_tail_sum(term: Callable[[int], float], k_top: int, s: float,
-                       rel_noise: float = 4e-16) -> tuple[float, float]:
-    """Close sum_{k > k_top} t_k for terms behaving like k^(-1-s) at large k.
+    z = k / unit, with int shift numerators, as many ``downs`` as ``ups``,
+    and excess s = (sum(downs) - sum(ups)) / den - 1 > 0, so that
+    t_k ~ k^(-1-s).
 
-    ``term(k)`` returns t_k and is called at four nodes,
-    ``k_top - i * max(1, k_top // 8)`` for i = 0..3, so ``k_top`` must be
-    at least 4.  Fits t_k ~ k^(-1-s) (d0 + d1/k + d2/k^2 + d3/k^3) through
-    them and sums the model exactly from ``k_top + 1`` with Hurwitz zetas.
-    The 4-coefficient fit comes from a Gauss-Jordan inverse of its 4x4
-    matrix, the 3-coefficient one from a 3x3 solve; any ``k_top`` takes
-    the same route.  Returns (tail, model_err); model_err is twice the
-    difference between the 4- and 3-coefficient fits plus the fit's
-    amplification of ``rel_noise``, the relative rounding noise of the
-    supplied terms.
+    Nothing is fitted.  Stirling's series of each log Gamma gives the exact
+    expansion t_k = A k^(-1-s) sum_p e_p (unit/k)^p, from the Bernoulli
+    polynomials of the shifts in int arithmetic, rounded once per order.
+    A is anchored on t_top, and the orders p < 8 are summed from k_top + 1
+    with Hurwitz zetas.  The expansion is in shift / z, so z = k_top / unit
+    should be at least 8 times the largest shift in size.  Returns (tail,
+    model_err): twice the first omitted order, its pull on the anchored A
+    included, plus 16 eps of the orders' magnitudes for the rounding.
     """
-    ks = _tail_nodes(k_top)
-    if ks[-1] < 1:
-        raise DomainError("tail fit needs k_top >= 4")
-    K = float(k_top)
-    # scaled variables z = K/k keep the Vandermonde well conditioned; the
-    # model is fitted to t_k (k/K)^(1+s) and summed with zetas scaled by
-    # K^(1+s), so no power overflows at a large excess
-    A = [[(K / k) ** p for p in range(4)] for k in ks]
-    y = [term(k) * (k / K) ** (1.0 + s) for k in ks]
-    unit = [[float(i == j) for j in range(4)] for i in range(4)]
-    inv = _gauss_jordan(A, unit)
-    coef4 = [math.fsum(map(mul, row, y)) for row in inv]
-    coef3 = [c for (c,) in _gauss_jordan([r[:3] for r in A[:3]], [[v] for v in y[:3]])]
-    w = [_hurwitz_zeta(1.0 + s + p, k_top + 1, K) for p in range(4)]
-    tail4 = math.fsum(map(mul, coef4, w))
-    tail3 = math.fsum(map(mul, coef3, w))
-    # term noise enters the solved coefficients scaled by the inverse row
-    # sums and lands on the tail through the (positive) zeta weights
-    amp = max(math.fsum(map(abs, row)) for row in inv)
-    noise = amp * rel_noise * max(map(abs, y)) * math.fsum(w)
-    return tail4, 2.0 * abs(tail4 - tail3) + noise
+    s = (sum(downs) - sum(ups) - den) / den
+    powers = [den ** k for k in range(_TAIL_ORDERS + 2)]
+    c = []  # c_n (unit/k_top)^n: the log expansion of t_k / (A k^(-1-s)) at k_top
+    for n, poly in enumerate(_STIRLING, 1):
+        scaled = list(map(mul, poly, powers))  # Horner in m for den^(n+1) B_(n+1)(m/den)
+        total = 0
+        for sign, shifts in ((1, ups), (-1, downs)):
+            for m in shifts:
+                b = 0
+                for coef in scaled:
+                    b = b * m + coef
+                total += sign * b
+        c.append(total * unit ** n / (210 * n * (n + 1) * powers[n + 1] * k_top ** n))
+    # e_p (unit/k_top)^p, by the power series of exp: p e_p = sum_n n c_n e_(p-n)
+    w = [1.0]
+    for p in range(1, _TAIL_ORDERS + 1):
+        w.append(math.fsum(n * c[n - 1] * w[p - n] for n in range(1, p + 1)) / p)
+    # t_k = t_top sum_p w_p (k_top/k)^(1+s+p) / sum_p w_p, summed over k > k_top
+    z = [_hurwitz_zeta(1.0 + s + p, k_top + 1, k_top) for p in range(_TAIL_ORDERS + 1)]
+    w_sum = math.fsum(w[:-1])
+    ratio = math.fsum(map(mul, w[:-1], z)) / w_sum
+    # the first omitted order adds w[-1] z[-1] to the sum and w[-1] to the norm of A
+    omitted = abs(t_top * w[-1] * (z[-1] - ratio) / w_sum)
+    rounding = 16.0 * _EPS * abs(t_top) * math.fsum(map(mul, map(abs, w[:-1]), z)) / abs(w_sum)
+    return t_top * ratio, 2.0 * omitted + rounding
 
 
 # --- 3F2 at unit argument ---------------------------------------------------
 
-_CHECKPOINTS = tuple(64 * 2 ** m for m in range(14))  # tail fits at 64 * 2^m terms
+_CHECKPOINTS = tuple(64 * 2 ** m for m in range(14))  # tails closed at 64 * 2^m terms
 _TERM_BUDGET = _CHECKPOINTS[-1]  # 524 288 series terms: the last checkpoint
 _BLOCK = 256            # terms per fsum block; only the block sums are kept
 
@@ -491,8 +486,8 @@ def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     Raises :class:`DomainError` when the series diverges, since the
     parameter excess ``s = b1+b2-a1-a2-a3`` is not positive and no upper
     parameter -m, m <= 524 288, ends the series at term m; when a series'
-    first tail fit lies past the budget; and when its terms or sums leave
-    the float range.
+    first tail lies past the budget; and when its terms or sums leave the
+    float range.
 
     Transform.  Thomae's relation (Bailey 1935, 3.2) gives, for an upper
     parameter ``a`` with the other two ``o1``, ``o2``,
@@ -513,19 +508,21 @@ def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     1; Basel, 3F2(1,1,1; 2,2; 1), stays direct.
 
     Summation.  Terms are streamed in ascending order in blocks, each
-    summed with ``math.fsum``; the algebraic tail is closed by
-    :func:`algebraic_tail_sum` at checkpoints of 64, 128, 256, ... terms,
-    up to a fixed budget of 524 288 = 64 * 2^13 terms.  The tail model
-    expands in parameter / k, so the first checkpoint is the first that
-    is at least 8 times the largest parameter in size.  Every script-F
-    term measured certifies the default tol within 129 terms, so the
-    budget binds only at a tight tol or on a series that no transform
-    speeds up.  A series with the upper parameter -m, m within the budget,
+    summed with ``math.fsum``; at checkpoints of 64, 128, 256, ... terms,
+    up to a fixed budget of 524 288 = 64 * 2^13 terms, the tail past the
+    last term t_K is closed by :func:`algebraic_tail_sum` from the term's
+    exact large-k expansion, anchored on t_K: the term is a ratio of
+    Gammas with shifts a1, a2, a3 over b1, b2, 1.  The expansion is in
+    parameter / k, so the first checkpoint is the first that is at least
+    8 times the largest parameter in size.  Every script-F term measured
+    certifies the default tol within 129 terms, so the budget binds only
+    at a tight tol or on a series that no transform speeds up.  A series with the upper parameter -m, m within the budget,
     ends at term m; that end is its one checkpoint, with no tail.
 
-    Error.  ``err`` adds the tail model's error, the recurrence drift
+    Error.  ``err`` adds the tail's ``model_err``, the recurrence drift
     ``2 eps sum k|t_k|`` (a proved bound: each term ratio is one correctly
-    rounded int quotient, so t_k rounds 2k times), the rounding of the
+    rounded int quotient, so t_k rounds 2k times), the same drift on the
+    tail through its anchor t_K (``2 eps K |tail|``), the rounding of the
     sums, and, for a transformed series, the Gamma prefactor's rounding
     (see :func:`gamma_ratio`) scaled onto the value.  One rule ends every
     series: a checkpoint whose ``err`` is at most ``cfg.tol`` is returned,
@@ -572,13 +569,13 @@ def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
     if last is not None:
         checkpoints = [last]
     else:
-        # the tail model expands in parameter / k: its first fit waits for
+        # the tail expands in parameter / k: its first checkpoint waits for
         # k >= 8 |parameter|, and a huge one is refused before it is a float
         big = max(ups + [b1, b2], key=abs)
         checkpoints = [K for K in _CHECKPOINTS if 8 * abs(big) <= K * D]
         if not checkpoints:
             raise DomainError(f"series parameter {_short(Fraction(big, D))} needs a first tail "
-                              f"fit past the {_TERM_BUDGET}-term budget")
+                              f"checkpoint past the {_TERM_BUDGET}-term budget")
     n1, n2, n3 = ups
 
     block_sums: list[float] = []
@@ -590,10 +587,6 @@ def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
     best: EvalResult | None = None
     why = "not reached"
     for K in checkpoints:
-        # only the tail-fit terms are kept as the blocks go by; a
-        # checkpoint's nodes lie above 5/8 of it, past the one before it
-        wanted = _tail_nodes(K)
-        nodes: dict[int, float] = {}
         while count <= K:
             n = min(_BLOCK, K + 1 - count)
             block = []
@@ -604,21 +597,17 @@ def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
                 block.append(t)
             if not math.isfinite(t):  # inf and nan persist to the block's end
                 raise DomainError(f"terms leave the float range by term {count + n - 1}")
-            for k in wanted:
-                if count <= k < count + n:
-                    nodes[k] = block[k - count]
             block_sums.append(math.fsum(block))
             abs_sum += math.fsum(map(abs, block))
             drift += math.fsum(map(mul, map(abs, block), range(count, count + n)))
             count += n
-        if K == last:  # the series has ended: no tail to fit or allow for
-            tail = model_err = tail_slack = 0.0
-        else:
-            tail, model_err = algebraic_tail_sum(nodes.__getitem__, K, s / D)
-            tail_slack = 1e-18
+        if K == last:  # the series has ended: no tail to close or allow for
+            tail = model_err = 0.0
+        else:  # t is t_K, of Gamma shifts a1, a2, a3 over b1, b2, 1 in k
+            tail, model_err = algebraic_tail_sum(t, K, ups, (b1, b2, D), D)
         err = model_err + 2.0 * _EPS * drift \
             + 2.0 * _EPS * K * abs(tail) \
-            + 4.0 * _EPS * (abs_sum + abs(tail)) + tail_slack
+            + 4.0 * _EPS * (abs_sum + abs(tail))
         result = _scaled(EvalResult(1.0 + math.fsum(block_sums) + tail, err, count),
                          pref, rel)
         if result.err <= cfg.tol:

@@ -136,7 +136,7 @@ class TestHyp3F2Command:
         assert rec["effort"] < 524_289
 
     @pytest.mark.parametrize("params, ref", [
-        # the first tail fit waits for 2048 terms, 8 times the largest parameter
+        # the first tail waits for 2048 terms, 8 times the largest parameter
         (("83", "81", "45", "187", "191"), "28561.9652605542875081831474802"),
         # the Thomae prefactor overflows, so the series is summed directly
         (("1200", "1", "1", "2", "2000"), "1.52745205726190270785548447724"),
@@ -169,7 +169,7 @@ class TestHyp3F2Command:
 
     @pytest.mark.parametrize("params, message", [
         # series that end beyond the term budget, or whose largest parameter
-        # puts the first tail fit past it
+        # puts the first tail past it
         (("-600000", "1", "1", "2", "600010"), b"524288-term budget"),
         (("-600000", "5", "5", "1", "1"), b"524288-term budget"),
         (("600001", "1", "1", "1", "600005"), b"524288-term budget"),
@@ -464,6 +464,21 @@ class TestClosedStdout:
         assert p.wait(timeout=300) == 1
         assert b"Traceback" not in err
         assert b"Exception ignored" not in err
+        assert err.startswith(b"error: ") and err.count(b"\n") == 1, err
+
+    def test_huge_prime_table_stops_at_a_closed_pipe(self):
+        # the default rows of a prime near 1e11 are made one at a time and
+        # each is written as soon as it is computed (~50 ms a row), so the
+        # table stops at the first write after its reader has gone
+        p = subprocess.Popen([sys.executable, "-m", "fermatreg", "f-table",
+                              "--N", "99999999977"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = json.loads(p.stdout.readline())
+        p.stdout.close()
+        err = p.stderr.read()
+        assert p.wait(timeout=300) == 1
+        assert first["inputs"] == {"i": 2, "N": 99999999977}
+        assert b"Traceback" not in err
         assert err.startswith(b"error: ") and err.count(b"\n") == 1, err
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -306,6 +306,21 @@ class TestHodge:
                 for r2 in reps[k + 1:]:
                     assert not is_hodge(WedgeIndex(r1, r2)), (r1, r2)
 
+    def test_prime_moduli_match_the_unit_criterion(self):
+        # for prime N is_hodge compares the multisets; here every pair of
+        # labels is held to the criterion itself, unit by unit
+        def unit_criterion(w):
+            N, (a, b), (c, d) = w.N, w.first[1:], w.second[1:]
+            return all((t * a % N + t * b % N < N) == (t * c % N + t * d % N < N)
+                       for t in range(1, N))
+
+        for N in (5, 7, 11, 13, 17, 19, 23):
+            labels = [FormIndex(N, a, b) for a in range(1, N) for b in range(1, N - a)]
+            for i1 in labels:
+                for i2 in labels:
+                    w = WedgeIndex(i1, i2)
+                    assert is_hodge(w) == unit_criterion(w), (i1, i2)
+
     def test_one_i_family_characterization(self):
         # (1, i) pairs with (1, j) exactly when j = i or j = N - 1 - i
         for N in (13, 17, 19, 23):

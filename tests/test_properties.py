@@ -8,7 +8,13 @@ from math import prod
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
+from test_specialfn import (  # noqa: E402
+    DRIFT_SETS,
+    TAIL_FIT_SETS,
+    summation_theorem,
+    theorem_params,
+)
 
 from fermatreg.specialfn import (  # noqa: E402
     BudgetExceededError,
@@ -65,10 +71,11 @@ def terminating_sets(draw):
     return Hyp3F2Params(-m, a2, a3, b1, b2)
 
 
-def exact_sum(p: Hyp3F2Params) -> Fr:
-    def rising(q, k):
-        return prod((q + i for i in range(k)), start=Fr(1))
+def rising(q: Fr, k: int) -> Fr:
+    return prod((q + i for i in range(k)), start=Fr(1))
 
+
+def exact_sum(p: Hyp3F2Params) -> Fr:
     m = int(-p.a1)
     return sum(rising(p.a1, k) * rising(p.a2, k) * rising(p.a3, k)
                / (rising(p.b1, k) * rising(p.b2, k) * rising(1, k))
@@ -85,9 +92,79 @@ def test_script_f_sets_certify_or_raise(p, tol):
 @given(terminating_sets(), TOLS)
 # a2 lies 1/89 above -5: float term ratios put this 2.2 errs from its sum
 @example(Hyp3F2Params(-55, Fr(-444, 89), Fr(-5389, 92), Fr(2995, 87), Fr(186, 41)), 1e-8)
+@example(Hyp3F2Params(-55, Fr(-444, 89), Fr(-5389, 92), Fr(2995, 87), Fr(186, 41)), 1e-12)
 def test_terminating_sets_certify_or_raise_and_bound_the_exact_sum(p, tol):
     r = certified_or_raises(p, tol)
     assert abs(Fr(r.value) - exact_sum(p)) <= Fr(r.err)
+
+
+# --- the classical summation theorems: sums whose values are known --------
+
+# rationals in [-6, 12] with denominators up to 30, and within 1/D of a
+# non-positive integer, where a term ratio's factors nearly vanish
+FREE = st.one_of(
+    st.fractions(-6, 12, max_denominator=30),
+    st.builds(lambda n, sign, d: Fr(sign, d) - n,
+              st.integers(0, 6), st.sampled_from((-1, 1)), st.integers(2, 30)),
+)
+
+
+def lies_within_err_or_raises(p: Hyp3F2Params, ref: Fr):
+    """At tol 1e-8 and 1e-12, hyp3f2_unit's value lies within its err of
+    ``ref``, or the call raises BudgetExceededError."""
+    for tol in (1e-8, 1e-12):
+        try:
+            r = hyp3f2_unit(p, EvalConfig(tol))
+        except BudgetExceededError:
+            continue
+        assert abs(Fr(r.value) - ref) <= Fr(r.err), tol
+
+
+@st.composite
+def theorem_sets(draw):
+    """Free parameters of a convergent Dixon, Watson or Whipple set that
+    does not end, with its lower parameters off the poles."""
+    family = draw(st.sampled_from(("dixon", "watson", "whipple")))
+    x, y, z = draw(FREE), draw(FREE), draw(FREE)
+    a1, a2, a3, b1, b2 = params = theorem_params(family, x, y, z)
+    assume(b1 + b2 - a1 - a2 - a3 > 0)
+    assume(not any(q <= 0 and q.denominator == 1 for q in params))
+    return family, x, y, z
+
+
+def pin_theorem_sets(test):
+    """The sets each certified outside its err by an earlier tail or term
+    ratio, as explicit examples."""
+    for case in DRIFT_SETS + TAIL_FIT_SETS:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=200)
+@given(theorem_sets())
+@pin_theorem_sets
+def test_summation_theorem_sets_lie_within_err(case):
+    # the reference is the theorem's Gamma product in mpmath at 40 digits
+    lies_within_err_or_raises(*summation_theorem(*case))
+
+
+@st.composite
+def saalschutz_sets(draw):
+    """(n, a, b, c) of Pfaff-Saalschutz's balanced 3F2(-n, a, b; c,
+    1+a+b-c-n; 1), n <= 60, with its lower parameters off the poles."""
+    n = draw(st.integers(0, 60))
+    a, b, c = draw(FREE), draw(FREE), draw(FREE)
+    assume(not any(q <= 0 and q.denominator == 1 for q in (c, 1 + a + b - c - n)))
+    return n, a, b, c
+
+
+@settings(max_examples=100)
+@given(saalschutz_sets())
+def test_saalschutz_sets_lie_within_err(case):
+    n, a, b, c = case
+    p = Hyp3F2Params(-n, a, b, c, 1 + a + b - c - n)
+    exact = rising(c - a, n) * rising(c - b, n) / (rising(c, n) * rising(c - a - b, n))
+    lies_within_err_or_raises(p, exact)
 
 
 # parameters of either sign from 1e-400 to 10^6 in size, some within

@@ -217,7 +217,7 @@ class TestDistinctTerms:
         r = reg_holomorphic(2, 2, 7, CFG)
         assert len(calls) == 7 == len(set(calls))
         assert r.value == 0.0
-        assert r.err == 5.078637953142078e-10
+        assert r.err == 1.149449832127396e-12
         assert r.effort == 391
 
     def test_mixed_diagonal(self, monkeypatch):
@@ -225,17 +225,17 @@ class TestDistinctTerms:
         r = im_reg_mixed(1, 2, 1, 2, 13, CFG)
         assert sorted(calls) == [(1, 13, 2, 13), (2, 13, 1, 13)]
         assert r.value == 0.0
-        assert r.err == 2.8788037895782127e-10
+        assert r.err == 9.383116346957158e-12
 
     def test_off_diagonal_labels_keep_every_term(self, monkeypatch):
         calls = self.counted_script_F(monkeypatch)
         r = reg_holomorphic(1, 2, 13, CFG)
         assert len(calls) == 26
-        assert (r.value, r.err, r.effort) == (14.622432385264835, 5.948380398684244e-09, 1562)
+        assert (r.value, r.err, r.effort) == (14.622432385257099, 2.9781312129528227e-12, 1562)
         calls.clear()
         r = im_reg_mixed(1, 2, 1, 4, 13, CFG)
         assert len(calls) == 2
-        assert (r.value, r.err, r.effort) == (25.471453642794863, 3.163851654902328e-08, 130)
+        assert (r.value, r.err, r.effort) == (25.47145364258494, 1.1702812002592841e-11, 130)
 
 
 F_TABLE_FROZEN = [
@@ -377,8 +377,11 @@ class TestOracleSeriesSum:
 
     def test_b1_labels_certify_at_default_tol(self):
         # a fixed 32768 terms charged each of them 2 eps (32768//N + 2) of
-        # rounding, and from N = 19 on that charge alone broke 1e-8 at b = 1
-        for (a, b, N) in ((1, 1, 19), (9, 1, 19), (1, 1, 23), (15, 1, 23)):
+        # rounding, and from N = 19 on that charge alone broke 1e-8 at b = 1;
+        # a fitted tail then failed it from N = 55 on, with smallest errs
+        # 1.00e-8 and 1.62e-8 at (1, 1; 55) and (1, 1; 101)
+        for (a, b, N) in ((1, 1, 19), (9, 1, 19), (1, 1, 23), (15, 1, 23),
+                          (1, 1, 55), (1, 1, 101)):
             s = oracle_series_sum(a, b, N, CFG)
             l = log_integral(a, b, N, variable="x", cfg=CFG)
             assert s.err <= CFG.tol, (a, b, N)
@@ -407,6 +410,11 @@ class TestOracleSeriesSum:
         K = int(msg.split("at K = ")[1].split()[0])
         assert K in (1024, 2048, 4096, 8192, 16384) and best.effort == 2 * K
         assert f"of {best.effort} terms" in msg
+
+    def test_first_tail_past_the_budget_is_a_domain_error(self):
+        # the first tail needs K >= 8 max(a+b, N), past 32768 terms here
+        with pytest.raises(DomainError, match="32768-term budget"):
+            oracle_series_sum(1, 1, 4099, CFG)
 
     def test_terms_positive_and_increasing_partials(self):
         a, b, N = 1, 2, 5

@@ -45,9 +45,12 @@ SCRIPT_F_3F2_REFS = {
 }
 
 
-# excess 1/97, and no upper parameter exceeds it, so the series is summed
-# directly and cannot reach tol 1e-13 in the default budget
-SLOW_3F2 = Hyp3F2Params(Fr(1, 97), Fr(1, 97), Fr(1, 97), Fr(2, 97), Fr(2, 97))
+# excess 1/9973, and no upper parameter exceeds it, so the series is summed
+# directly.  Its err is smallest at the first checkpoint, ~9.1e-15, and then
+# grows with the rounding charged on its slowly decaying tail; at tol 2e-15
+# it runs until the rounding floor of the terms summed passes tol
+SLOW_3F2 = Hyp3F2Params(Fr(1, 9973), Fr(1, 9973), Fr(1, 9973), Fr(2, 9973), Fr(2, 9973))
+SLOW_TOL = EvalConfig(tol=2e-15)
 
 
 def script_f_params(a, j, b, N):
@@ -287,27 +290,27 @@ class TestHyp3F2:
         assert abs(best.value - 1.766233869657059933008) <= best.err
 
     def test_budget_failure_reports_terms_summed(self, monkeypatch):
-        # the best err is the 1024-term checkpoint's, but the effort is all
+        # the best err is the 64-term checkpoint's, but the effort is all
         # 131 073 terms (k = 0..131 072) summed until the rounding floor
         # passed tol
         with pytest.raises(BudgetExceededError) as ei:
-            hyp3f2_unit(SLOW_3F2, EvalConfig(tol=1e-13))
+            hyp3f2_unit(SLOW_3F2, SLOW_TOL)
         assert ei.value.result.effort == 131_073
         shrink_budget(monkeypatch, 1024)
         with pytest.raises(BudgetExceededError) as early:
-            hyp3f2_unit(SLOW_3F2, EvalConfig(tol=1e-13))
+            hyp3f2_unit(SLOW_3F2, SLOW_TOL)
         assert early.value.result == (*ei.value.result[:2], 1025)
 
     def test_budget_failure_memory_stays_flat(self, monkeypatch):
-        # the series keeps only the tail-fit terms and the sums of its
-        # blocks; keeping all 65 537 terms would take about 2.1 MB.
+        # the series keeps only its last term and the sums of its blocks;
+        # keeping all 65 537 terms would take about 2.1 MB.
         # tracemalloc slows every float the loop makes, so the budget is
         # the smallest that the bound still tells apart from keeping them
         shrink_budget(monkeypatch, 65_536)
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError):
-                hyp3f2_unit(SLOW_3F2, EvalConfig(tol=1e-13))
+                hyp3f2_unit(SLOW_3F2, SLOW_TOL)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -429,15 +432,21 @@ class TestHyp3F2:
         assert r1.err == r2.err and r1.effort == r2.effort
 
 
+def theorem_params(family, x, y, z):
+    """The 3F2 parameters of Dixon's, Watson's or Whipple's sum with free
+    parameters x, y, z, as Fractions."""
+    return {"dixon": (x, y, z, 1 + x - y, 1 + x - z),
+            "watson": (x, y, z, (x + y + 1) / 2, 2 * z),
+            "whipple": (x, 1 - x, y, z, 1 + 2 * y - z)}[family]
+
+
 def summation_theorem(family, x, y, z):
     """The 3F2 parameters of Dixon's, Watson's or Whipple's sum with free
     parameters x, y, z, and the theorem's Gamma product in mpmath at 40
     digits as a Fraction (Bailey 1935, 3.1-3.4; DLMF 16.4.4, 16.4.6, 16.4.7)."""
     mpmath = pytest.importorskip("mpmath")
     x, y, z = Fr(x), Fr(y), Fr(z)
-    params = {"dixon": (x, y, z, 1 + x - y, 1 + x - z),
-              "watson": (x, y, z, (x + y + 1) / 2, 2 * z),
-              "whipple": (x, 1 - x, y, z, 1 + 2 * y - z)}[family]
+    params = theorem_params(family, x, y, z)
     with mpmath.workdps(40):
         a, b, c = (mpmath.mpf(q.numerator) / q.denominator for q in (x, y, z))
         if family == "dixon":
@@ -464,16 +473,14 @@ DRIFT_SETS = [
     ("dixon", "-45/14", "-1/5", "-11/2"),
 ]
 
-# summed directly, and certified at the first checkpoint by a tail fit whose
-# model_err falls short of its true error
+# summed directly; each was certified at its first checkpoint by a fitted
+# tail whose model_err fell 1.02 to 106 times short of its true error
 TAIL_FIT_SETS = [
-    pytest.param(*s, marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 3: fitted-tail model_err"))
-    for s in (("watson", "-1/2", "-31/19", "-6/7"),
-              ("dixon", "1/2", "4", "-11/3"),
-              ("whipple", "-17/4", "57/16", "8"),
-              ("whipple", "14/3", "27/8", "2/3"),
-              ("watson", "-51/13", "76/7", "49/8"))
+    ("watson", "-1/2", "-31/19", "-6/7"),
+    ("dixon", "1/2", "4", "-11/3"),
+    ("whipple", "-17/4", "57/16", "8"),
+    ("whipple", "14/3", "27/8", "2/3"),
+    ("watson", "-51/13", "76/7", "49/8"),
 ]
 
 
@@ -558,27 +565,57 @@ class TestOneMinusRoot:
 
 
 class TestTailModel:
+    @staticmethod
+    def assert_recovers(ups, downs, den, t_top, want, K):
+        """The tail lies within model_err, and model_err within 1e-13 of it."""
+        tail, model_err = algebraic_tail_sum(float(t_top), K, ups, downs, den)
+        assert abs(Fr(tail) - Fr(str(want))) <= Fr(model_err), K
+        assert model_err <= 1e-13 * tail, K
+
     def test_recovers_hurwitz_zeta(self):
-        # exact power-law terms: the fitted tail must equal the Hurwitz zeta
+        # Basel's terms G(k+1)^2 / G(k+2)^2 = 1/(k+1)^2: the tail past K is
+        # the Hurwitz zeta(2, K+2)
         mpmath = pytest.importorskip("mpmath")
-        s = 0.25
-        K = 4096
-        tail, model_err = algebraic_tail_sum(lambda k: k ** (-1.0 - s), K, s)
-        want = float(mpmath.zeta(1.0 + s, K + 1))
-        assert abs(tail - want) <= 1e-12 * want
-        assert model_err <= 1e-10
+        for K in (64, 1024, 16384):
+            with mpmath.workdps(40):
+                self.assert_recovers((1, 1), (2, 2), 1, mpmath.mpf(K + 1) ** -2,
+                                     mpmath.zeta(2, K + 2), K)
+
+    def test_recovers_gauss_sum_tail(self):
+        # terms G(k+a) G(k+b) / (G(k+c) G(k+1)) at a, b, c = 1/3, 1/2, 5/4,
+        # excess 5/12: Gauss's sum G(a) G(b) G(c-a-b) / (G(c-a) G(c-b))
+        # less the first terms
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            a, b, c = mpmath.mpf(1) / 3, mpmath.mpf(1) / 2, mpmath.mpf(5) / 4
+            rest = mpmath.gammaprod([a, b, c - a - b], [c - a, c - b])
+            t = mpmath.gammaprod([a, b], [c])
+            for k in range(16385):
+                rest -= t
+                if k in (64, 1024, 16384):
+                    self.assert_recovers((4, 6), (15, 12), 12, t, rest, k)
+                t *= (k + a) * (k + b) / ((k + c) * (k + 1))
 
     def test_hurwitz_zeta_against_mpmath(self):
-        # the zeta orders 1 + excess + p (p = 0..3) and the starts the
-        # series and oracle tails use; 80 digits keep mpmath's own error
-        # below the tested 1e-15 at the largest orders and starts
+        # the zeta orders 1 + excess + p, p = 0..8, from the first term past
+        # each checkpoint K, scaled by K^order as the tail sums use them.
+        # mpmath's own error reaches 6e-11 at order 30 and 80 digits, so
+        # the reference takes 120
         mpmath = pytest.importorskip("mpmath")
+        for s in (1 / 97, 1 / 13, 1 / 2, 1.0, 2 + 1 / 7, 3 + 96 / 97, 12.0):
+            for K in (64, 1024, 16384, 524288):
+                for p in range(specialfn._TAIL_ORDERS + 1):
+                    order = 1.0 + s + p
+                    with mpmath.workdps(120):
+                        want = mpmath.zeta(order, K + 1) * mpmath.mpf(K) ** order
+                    got = _hurwitz_zeta(order, K + 1, K)
+                    assert abs(got - want) <= 1e-15 * want, (order, K)
+        # and unscaled
         for s in (1 + 1 / 97, 1 + 1 / 13, 1.5, 2.0, 3 + 1 / 7, 4 + 96 / 97, 8.0, 12.0):
             for a in (1, 7, 33, 2049, 16385, 524289):
                 with mpmath.workdps(80):
                     want = mpmath.zeta(s, a)
-                got = _hurwitz_zeta(s, a)
-                assert abs(got - want) <= 1e-15 * want, (s, a)
+                assert abs(_hurwitz_zeta(s, a) - want) <= 1e-15 * want, (s, a)
 
 
 class TestConfig:
