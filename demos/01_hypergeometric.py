@@ -33,13 +33,11 @@ print(f"  value  {r.value:.15f}  err {r.err:.1e}  effort {r.effort}")
 print()
 
 # the terms decay like k^(-1-excess), far too slowly to sum to the end.
-# A Thomae transform turns this series into one of excess 1, its largest
-# upper parameter, times a ratio of Gamma values; that series is summed to a
-# checkpoint and the remaining tail is closed from the term's exact
-# large-k expansion (Stirling's series of its Gamma ratio), summed by
-# Hurwitz zetas.  err covers the first order the expansion omits, the
-# rounding of every term and of the Gamma prefactor of the transform;
-# the tests hold it against 30-digit references down to excess 1/97.
+# The series is summed to a checkpoint and the remaining tail is closed
+# from the term's exact large-k expansion (Stirling's series of its Gamma
+# ratio), summed by Hurwitz zetas.  err covers the first order the
+# expansion omits and the rounding of every term and sum; the tests hold
+# it against 30-digit references down to excess 1/97.
 
 # divergent parameter sets are rejected up front
 try:

@@ -3,9 +3,8 @@
 The package has three layers:
 
 * :mod:`fermatreg.specialfn` -- beta, Gamma ratios, tanh-sinh quadrature
-  and a certified 3F2-at-unit-argument evaluator (a Thomae-transformed,
-  accelerated series whose algebraic tail is closed from its exact
-  large-k expansion);
+  and a certified 3F2-at-unit-argument evaluator (an accelerated series
+  whose algebraic tail is closed from its exact large-k expansion);
 * :mod:`fermatreg.fermat` -- eigenform indexing on the curve x^N + y^N = 1,
   period constants, the root-of-unity coefficients mu and mu_half, and the
   Hodge-class predicate (by type, for every N >= 3);

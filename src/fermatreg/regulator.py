@@ -73,7 +73,8 @@ def script_F(a: int, j: int, b: int, N: int,
 
     Requires (a, b) in the index set and j >= 1.  Always convergent: the
     series excess is b/N regardless of j, and :func:`hyp3f2_unit` sums it
-    at excess at least 1 after a Thomae transform.  ``err`` includes the
+    directly, closing its slowly decaying tail from the term's exact
+    large-k expansion.  ``err`` includes the
     rounding of the Gamma-ratio prefactor (see :func:`gamma_ratio`).  A
     :class:`BudgetExceededError` names the term and carries the best
     script-F value, the prefactor applied to the series' best result.

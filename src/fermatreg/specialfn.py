@@ -3,11 +3,9 @@
 Beta, Gamma ratios, 3F2 at unit argument, and a tanh-sinh quadrature rule
 for integrands with endpoint singularities.
 
-The 3F2 evaluator first applies a Thomae transform, chosen from the
-parameters alone, that raises the series excess (to at least 1 for every
-script-F term), then sums the series in a plain Python loop and closes the
-algebraic tail from the term's exact large-k expansion, summed with Hurwitz
-zetas (the accelerated series).
+The 3F2 evaluator sums the series as given in a plain Python loop and
+closes the algebraic tail from the term's exact large-k expansion, summed
+with Hurwitz zetas (the accelerated series).
 Parameters are carried as exact rationals; floats appear only inside kernels.
 The module needs nothing beyond the standard library.  All operations are
 pure, stateless and thread-safe.  Summation order is fixed (ascending k) and
@@ -323,19 +321,22 @@ _EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
               -691 / 1307674368000)
 
 
-def _hurwitz_zeta(s: float, a: float, scale: float = 1.0) -> float:
-    """``scale^s`` times the Hurwitz zeta sum_{k>=0} (a+k)^(-s), for s > 1
-    and a > 0.
+def _hurwitz_zeta(e: float, a: float, scale: float = 1.0) -> float:
+    """``scale^s`` times the Hurwitz zeta sum_{k>=0} (a+k)^(-s) of order
+    s = 1 + e, for e > 0 and a > 0.
 
     Sums the terms below A = 32 + s directly and closes the rest with the
     Euler-Maclaurin formula A^(1-s)/(s-1) + A^(-s)/2 + sum_j B_2j/(2j)!
     (s)_(2j-1) A^(1-s-2j), whose terms shrink by about
     ((s+2j)/(2 pi A))^2 each; six terms keep the relative error near
     1e-16 for s <= 12 (tested against mpmath), and larger orders only
-    weigh negligible tails.  Every power is taken of ``(a+k)/scale``, so
-    a ``scale`` near ``a`` keeps large orders clear of overflow and
+    weigh negligible tails.  The order is passed as its excess e over 1,
+    which the leading term divides by: ``(1 + e) - 1`` would err by
+    eps / e relative.  Every power is taken of ``(a+k)/scale``, so a
+    ``scale`` near ``a`` keeps large orders clear of overflow and
     underflow.
     """
+    s = 1.0 + e
     a = float(a)
     head = 0.0
     while a < 32.0 + s:
@@ -353,7 +354,7 @@ def _hurwitz_zeta(s: float, a: float, scale: float = 1.0) -> float:
     for j, c in enumerate(_EM_COEFFS):
         em += c * term
         term *= (s + 2 * j + 1) * (s + 2 * j + 2) * inv_a2
-    return head + a * lead / (s - 1.0) + 0.5 * lead + em
+    return head + a * lead / e + 0.5 * lead + em
 
 
 # Stirling's series (DLMF 5.11.8): for each shift h, as z -> infinity,
@@ -406,7 +407,7 @@ def algebraic_tail_sum(t_top: float, k_top: int, ups: Sequence[int], downs: Sequ
     for p in range(1, _TAIL_ORDERS + 1):
         w.append(math.fsum(n * c[n - 1] * w[p - n] for n in range(1, p + 1)) / p)
     # t_k = t_top sum_p w_p (k_top/k)^(1+s+p) / sum_p w_p, summed over k > k_top
-    z = [_hurwitz_zeta(1.0 + s + p, k_top + 1, k_top) for p in range(_TAIL_ORDERS + 1)]
+    z = [_hurwitz_zeta(s + p, k_top + 1, k_top) for p in range(_TAIL_ORDERS + 1)]
     w_sum = math.fsum(w[:-1])
     ratio = math.fsum(map(mul, w[:-1], z)) / w_sum
     # the first omitted order adds w[-1] z[-1] to the sum and w[-1] to the norm of A
@@ -439,11 +440,11 @@ def _short(q: Fraction) -> str:
     return f"{'-' if q < 0 else ''}{lead // 10 ** 5}.{lead % 10 ** 5:05d}e{e:+d}"
 
 
-def _integer_params(p: Hyp3F2Params) -> tuple[list[int], int, int, int, int]:
+def _integer_params(p: Hyp3F2Params) -> tuple[list[int], int, int, int]:
     """The parameters over their least common denominator D.
 
-    Returns (upper numerators, lower numerators b1 and b2, excess numerator,
-    D).  Integer arithmetic keeps the transform choice exact and cheap.
+    Returns (upper numerators, lower numerators b1 and b2, D), after
+    checking in integer arithmetic that the series converges or ends.
     """
     fr = (p.a1, p.a2, p.a3, p.b1, p.b2)
     D = math.lcm(*(q.denominator for q in fr))
@@ -452,7 +453,7 @@ def _integer_params(p: Hyp3F2Params) -> tuple[list[int], int, int, int, int]:
     if s <= 0 and _last_term([a1, a2, a3], D) is None:
         raise DomainError(
             f"excess {_short(Fraction(s, D))} is not positive; the unit-argument series diverges")
-    return [a1, a2, a3], b1, b2, s, D
+    return [a1, a2, a3], b1, b2, D
 
 
 def _last_term(ups: list[int], D: int) -> int | None:
@@ -460,24 +461,6 @@ def _last_term(ups: list[int], D: int) -> int | None:
     the term budget, so that the series ends at term m; else None."""
     ends = [-n // D for n in ups if n <= 0 and n % D == 0]
     return min(ends) if ends and min(ends) <= _TERM_BUDGET else None
-
-
-def _thomae_pick(ups: list[int], b1: int, b2: int, s: int, D: int) -> int | None:
-    """Index of the upper parameter the Thomae transform of
-    :func:`hyp3f2_unit` uses, or None to sum directly; all arguments are
-    numerators over the common denominator D."""
-    if b1 <= 0 or b2 <= 0 or any(n <= 0 and n % D == 0 for n in ups):
-        return None  # a terminating series is kept exact
-    pick = None
-    for i, a in enumerate(ups):
-        o1, o2 = ups[:i] + ups[i + 1:]
-        # a new upper parameter above -1 flips the sign of the terms at most
-        # once (0 ends the series at 1).  Below that the terms alternate
-        # while they grow, and their sum cancels, even when they end at -m
-        if (a > s and s + o1 > 0 and s + o2 > 0 and b1 - a > -D and b2 - a > -D
-                and (pick is None or a > ups[pick])):
-            pick = i
-    return pick
 
 
 def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
@@ -489,80 +472,42 @@ def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     first tail lies past the budget; and when its terms or sums leave the
     float range.
 
-    Transform.  Thomae's relation (Bailey 1935, 3.2) gives, for an upper
-    parameter ``a`` with the other two ``o1``, ``o2``,
-
-        3F2(a, o1, o2; b1, b2; 1) = G(b1) G(b2) G(s) / (G(a) G(s+o1) G(s+o2))
-                                    * 3F2(b1-a, b2-a, s; s+o1, s+o2; 1),
-
-    a series of excess ``a``.  The largest upper parameter (the first on
-    ties) is taken that exceeds ``s``, leaves every Gamma argument
-    positive, and leaves ``b1-a`` and ``b2-a`` each above -1, so that the
-    new terms cannot alternate while they grow (a target that ends at a
-    term m >= 1 can still cancel); with none, for a series that ends by
-    itself, and when the prefactor leaves the normal floats, the series is
-    summed directly.
-    The choice depends on the parameters alone, so reruns are
-    bit-identical.  Every script-F term qualifies through its upper
-    parameter 1 (its excess is b/N < 1) and is summed at excess at least
-    1; Basel, 3F2(1,1,1; 2,2; 1), stays direct.
-
-    Summation.  Terms are streamed in ascending order in blocks, each
-    summed with ``math.fsum``; at checkpoints of 64, 128, 256, ... terms,
-    up to a fixed budget of 524 288 = 64 * 2^13 terms, the tail past the
-    last term t_K is closed by :func:`algebraic_tail_sum` from the term's
-    exact large-k expansion, anchored on t_K: the term is a ratio of
-    Gammas with shifts a1, a2, a3 over b1, b2, 1.  The expansion is in
-    parameter / k, so the first checkpoint is the first that is at least
-    8 times the largest parameter in size.  Every script-F term measured
-    certifies the default tol within 129 terms, so the budget binds only
-    at a tight tol or on a series that no transform speeds up.  A series with the upper parameter -m, m within the budget,
-    ends at term m; that end is its one checkpoint, with no tail.
+    Summation.  The series is summed as given.  Terms are streamed in
+    ascending order in blocks, each summed with ``math.fsum``; at
+    checkpoints of 64, 128, 256, ... terms, up to a fixed budget of
+    524 288 = 64 * 2^13 terms, the tail past the last term t_K is closed by
+    :func:`algebraic_tail_sum` from the term's exact large-k expansion,
+    anchored on t_K: the term is a ratio of Gammas with shifts a1, a2, a3
+    over b1, b2, 1.  The expansion is in parameter / k, so the first
+    checkpoint is the first that is at least 8 times the largest parameter
+    in size.  The expansion closes a slowly decaying tail as well as a fast
+    one, whatever the excess, so the budget binds only at a tight tol,
+    where the rounding of a slowly decaying series adds up.  A series with
+    the upper parameter -m, m within the budget, ends at term m; that end
+    is its one checkpoint, with no tail.
 
     Error.  ``err`` adds the tail's ``model_err``, the recurrence drift
     ``2 eps sum k|t_k|`` (a proved bound: each term ratio is one correctly
     rounded int quotient, so t_k rounds 2k times), the same drift on the
-    tail through its anchor t_K (``2 eps K |tail|``), the rounding of the
-    sums, and, for a transformed series, the Gamma prefactor's rounding
-    (see :func:`gamma_ratio`) scaled onto the value.  One rule ends every
-    series: a checkpoint whose ``err`` is at most ``cfg.tol`` is returned,
-    and otherwise :class:`BudgetExceededError` is raised, carrying the
-    result with the smallest ``err`` and an ``effort`` that counts every
-    term summed.  It is raised after the last checkpoint, or as soon as
-    ``err`` has stopped falling and a floor that no later checkpoint's
-    ``err`` can go below, the drift and sum rounding so far plus the
-    prefactor's rounding, passes ``cfg.tol``.
+    tail through its anchor t_K (``2 eps K |tail|``) and the rounding of
+    the sums.  One rule ends every series: a checkpoint whose ``err`` is
+    at most ``cfg.tol`` is returned, and otherwise
+    :class:`BudgetExceededError` is raised, carrying the result with the
+    smallest ``err`` and an ``effort`` that counts every term summed.  It
+    is raised after the last checkpoint, or as soon as ``err`` has stopped
+    falling and a floor that no later checkpoint's ``err`` can go below,
+    the drift and sum rounding so far, passes ``cfg.tol``.
     """
     if 0 in (p.a1, p.a2, p.a3):
         return EvalResult(1.0, 0.0, 1)
-    ups, b1, b2, s, D = _integer_params(p)
-    pick = _thomae_pick(ups, b1, b2, s, D)
-    series = (ups, b1, b2, s, D, cfg)
-    if pick is not None:
-        a = ups[pick]
-        o1, o2 = ups[:pick] + ups[pick + 1:]
-        try:
-            pref, rel = gamma_ratio((b1 / D, b2 / D, s / D),
-                                    (a / D, (s + o1) / D, (s + o2) / D))
-        except OverflowError:
-            pref = 0.0
-        if pref >= 2.0 ** -1022:  # rel bounds normal floats only; else sum directly
-            series = ([b1 - a, b2 - a, s], s + o1, s + o2, a, D, cfg, pref, rel)
     try:
-        return _sum_series(*series)
+        return _sum_series(*_integer_params(p), cfg)
     except (OverflowError, ZeroDivisionError) as exc:
         raise DomainError(f"the series leaves the float range ({exc})") from None
 
 
-def _hyp3f2_direct(p: Hyp3F2Params, cfg: EvalConfig) -> EvalResult:
-    """The untransformed series of :func:`hyp3f2_unit`, an independent check."""
-    return _sum_series(*_integer_params(p), cfg)
-
-
-def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
-                cfg: EvalConfig, pref: float = 1.0, rel: float = 0.0) -> EvalResult:
-    """pref * 3F2(ups/D; b1/D, b2/D; 1), where s/D is the excess and
-    ``rel`` bounds the relative error of ``pref``; term ratios are in ints."""
+def _sum_series(ups: list[int], b1: int, b2: int, D: int, cfg: EvalConfig) -> EvalResult:
+    """3F2(ups/D; b1/D, b2/D; 1), with term ratios in ints."""
     # a series that ends has that end as its one checkpoint, where nothing
     # is left for a tail to close
     last = _last_term(ups, D)
@@ -608,21 +553,17 @@ def _sum_series(ups: list[int], b1: int, b2: int, s: int, D: int,
         err = model_err + 2.0 * _EPS * drift \
             + 2.0 * _EPS * K * abs(tail) \
             + 4.0 * _EPS * (abs_sum + abs(tail))
-        result = _scaled(EvalResult(1.0 + math.fsum(block_sums) + tail, err, count),
-                         pref, rel)
+        result = EvalResult(1.0 + math.fsum(block_sums) + tail, err, count)
         if result.err <= cfg.tol:
             return result
-        # drift and abs_sum never fall, and a later err within tol is at
-        # least rel times its value, which lies within err + tol of this
-        # one; so once this floor passes tol no later checkpoint can
-        # certify, and only a falling err earns more terms
-        floor = abs(pref) * (2.0 * _EPS * drift + 4.0 * _EPS * abs_sum) \
-            + rel * (abs(result.value) - result.err - cfg.tol)
+        # drift and abs_sum never fall, so once this floor passes tol no
+        # later checkpoint can certify, and only a falling err earns more
+        # terms
+        floor = 2.0 * _EPS * drift + 4.0 * _EPS * abs_sum
         if best is None or result.err < best.err:
             best = result
         elif floor > cfg.tol:
-            why = (f"lies below the Gamma prefactor's rounding plus the "
-                   f"series' ({floor:.3g})")
+            why = f"lies below the series' rounding ({floor:.3g})"
             break
 
     raise BudgetExceededError(

@@ -42,6 +42,7 @@ _SCRIPT_F_3F2_REFS = {
     (1, 23, 21, 23): "1.73842836504399633062384869995",
     (5, 7, 11, 23): "1.40235353667079277379952956569",
     (4, 14, 2, 23): "7.40325865026575940046941996784",
+    (95, 97, 1, 97): "97.9867770560039963598182783808",  # excess 1/97
 }
 
 
@@ -86,23 +87,11 @@ def _special_checks() -> list[CheckResult]:
     out.append(_check("degenerate (cancelling-parameter) Gauss closed form",
                       worst, EvalConfig().tol + 1e-12))
 
-    # each reference set's value is computed once and shared by the checks
-    thomaes = {}
     worst = 0.0
     for key, ref in _SCRIPT_F_3F2_REFS.items():
-        r = thomaes[key] = specialfn.hyp3f2_unit(regulator._script_F_params(*key))
+        r = specialfn.hyp3f2_unit(regulator._script_F_params(*key))
         worst = max(worst, float(abs(Fraction(r.value) - Fraction(ref)) - Fraction(r.err)))
     out.append(_check("3F2 err honored against 30-digit references",
-                      max(worst, 0.0), 0.0))
-
-    # the untransformed series is a different series with the same sum
-    worst = 0.0
-    for key in (*_SCRIPT_F_3F2_REFS, (95, 97, 1, 97)):
-        p = regulator._script_F_params(*key)
-        direct = specialfn._hyp3f2_direct(p, EvalConfig())
-        thomae = thomaes.get(key) or specialfn.hyp3f2_unit(p)
-        worst = max(worst, abs(direct.value - thomae.value) - (direct.err + thomae.err))
-    out.append(_check("Thomae-transformed and direct series agree within errs",
                       max(worst, 0.0), 0.0))
 
     worst = 0.0

@@ -72,6 +72,32 @@ class TestScriptF:
             r = script_F(a, j, b, N, EvalConfig(tol=1e-11))
             assert abs(Fr(r.value) - want) <= Fr(r.err), (a, j, b, N)
 
+    def test_j_equal_N_term_against_digamma(self):
+        # F(a, N, b; N) = (psi((a+b)/N) - psi(b/N)) / N: every holomorphic
+        # label for N <= 23, and the labels next to the boundary at large
+        # moduli, where the excess b/N is smallest.  Each call certifies
+        # within err or raises, and a failure's best result lies within err
+        from fractions import Fraction as Fr
+
+        mpmath = pytest.importorskip("mpmath")
+        labels = [(a, b, N) for N in range(3, 24) for a in range(1, N - 1)
+                  for b in range(1, N - a)]
+        for N in (97, 211, 1009, 2003, 10007, 20011):
+            labels += [(N - 1 - b, b, N) for b in range(1, 6)]
+            labels += [(1, 1, N), (N // 2, 1, N)]
+        for a, b, N in labels:
+            with mpmath.workdps(30):
+                want = (mpmath.digamma(mpmath.mpf(a + b) / N)
+                        - mpmath.digamma(mpmath.mpf(b) / N)) / N
+                want = Fr(mpmath.nstr(want, 30))
+            for tol in (1e-8, 1e-12):
+                try:
+                    r = script_F(a, N, b, N, EvalConfig(tol=tol))
+                    assert r.err <= tol, (a, b, N, tol)
+                except BudgetExceededError as exc:
+                    r = exc.result
+                assert abs(Fr(r.value) - want) <= Fr(r.err), (a, b, N, tol)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             script_F(1, 0, 1, 3, CFG)  # j must be >= 1
@@ -217,25 +243,25 @@ class TestDistinctTerms:
         r = reg_holomorphic(2, 2, 7, CFG)
         assert len(calls) == 7 == len(set(calls))
         assert r.value == 0.0
-        assert r.err == 1.149449832127396e-12
-        assert r.effort == 391
+        assert r.err == 6.274318846758462e-13
+        assert r.effort == 455
 
     def test_mixed_diagonal(self, monkeypatch):
         calls = self.counted_script_F(monkeypatch)
         r = im_reg_mixed(1, 2, 1, 2, 13, CFG)
         assert sorted(calls) == [(1, 13, 2, 13), (2, 13, 1, 13)]
         assert r.value == 0.0
-        assert r.err == 9.383116346957158e-12
+        assert r.err == 6.98487312699301e-12
 
     def test_off_diagonal_labels_keep_every_term(self, monkeypatch):
         calls = self.counted_script_F(monkeypatch)
         r = reg_holomorphic(1, 2, 13, CFG)
         assert len(calls) == 26
-        assert (r.value, r.err, r.effort) == (14.622432385257099, 2.9781312129528227e-12, 1562)
+        assert (r.value, r.err, r.effort) == (14.622432385257119, 1.9152300389896438e-12, 1690)
         calls.clear()
         r = im_reg_mixed(1, 2, 1, 4, 13, CFG)
         assert len(calls) == 2
-        assert (r.value, r.err, r.effort) == (25.47145364258494, 1.1702812002592841e-11, 130)
+        assert (r.value, r.err, r.effort) == (25.471453642584862, 7.314889792063921e-12, 130)
 
 
 F_TABLE_FROZEN = [

@@ -20,9 +20,6 @@ from fermatreg.specialfn import (
     Hyp3F2Params,
     _LGAMMA_ULPS,
     _hurwitz_zeta,
-    _hyp3f2_direct,
-    _integer_params,
-    _thomae_pick,
     algebraic_tail_sum,
     beta,
     de_quadrature,
@@ -45,10 +42,9 @@ SCRIPT_F_3F2_REFS = {
 }
 
 
-# excess 1/9973, and no upper parameter exceeds it, so the series is summed
-# directly.  Its err is smallest at the first checkpoint, ~9.1e-15, and then
-# grows with the rounding charged on its slowly decaying tail; at tol 2e-15
-# it runs until the rounding floor of the terms summed passes tol
+# excess 1/9973.  Its err is smallest at the first checkpoint, ~9.1e-15,
+# and then grows with the rounding charged on its slowly decaying tail; at
+# tol 2e-15 it runs until the rounding floor of the terms summed passes tol
 SLOW_3F2 = Hyp3F2Params(Fr(1, 9973), Fr(1, 9973), Fr(1, 9973), Fr(2, 9973), Fr(2, 9973))
 SLOW_TOL = EvalConfig(tol=2e-15)
 
@@ -217,15 +213,22 @@ class TestHyp3F2:
         assert abs(r.value - float(want)) <= 1e-14
 
     def test_terminating_end_is_held_to_tol(self):
-        # the transform through 1 gives the upper parameter b1 - 1 = 0, so
-        # the new series is exactly 1, but the Gamma prefactor's rounding
-        # on the value ~20 is 1.19e-12
-        p = Hyp3F2Params(Fr(22, 23), Fr(20, 23), 1, 1, Fr(43, 23))
-        assert hyp3f2_unit(p, CFG).effort == 1
+        # the series ends at term 10, but its terms alternate and reach
+        # 1.2e5 in size while they cancel to 0.048, so the rounding at that
+        # end is 1.68e-9: within the default tol, not within 1e-12
+        p = Hyp3F2Params(-10, Fr(21, 2), Fr(1, 2), 1, Fr(3, 2))
+        r = hyp3f2_unit(p, CFG)
+        assert r.effort == 11
         with pytest.raises(BudgetExceededError, match="not reached") as ei:
             hyp3f2_unit(p, EvalConfig(tol=1e-12))
-        assert ei.value.result.effort == 1
-        assert 1e-12 < ei.value.result.err < 1.2e-12
+        assert ei.value.result == r
+        assert 1.6e-9 < r.err < 1.7e-9
+        term = total = Fr(1)
+        for k in range(10):
+            term *= (k - 10) * (k + Fr(21, 2)) * (k + Fr(1, 2)) \
+                / ((k + 1) * (k + Fr(3, 2)) * (k + 1))
+            total += term
+        assert abs(Fr(r.value) - total) <= Fr(r.err)
 
     def test_degenerate_gauss_draws(self):
         rng = random.Random(20260819)
@@ -237,6 +240,32 @@ class TestHyp3F2:
             r = hyp3f2_unit(Hyp3F2Params(a, b, x, c, x), EvalConfig(tol=1e-12))
             want = gauss_2f1_unit(float(a), float(b), float(c))
             assert abs(r.value - want) <= 1e-10
+
+    def test_degenerate_gauss_sets_lie_within_err(self, monkeypatch):
+        # 3F2(a, b, x; a+b+e, x; 1) = G(c) G(e) / (G(c-a) G(c-b)), c = a+b+e,
+        # at excess e down to 1/(10^6+3), where the tail is ~1/e of the
+        # value.  x is a negative non-integer; its factors cancel exactly in
+        # each int term ratio.  The budget is cut so that a failure stops
+        # early: every certified result here certifies at 64 terms
+        mpmath = pytest.importorskip("mpmath")
+        shrink_budget(monkeypatch, 4096)
+        ups = [Fr(1, 3), Fr(1, 2), Fr(3, 4), Fr(-2, 5), Fr(7, 3)]
+        pairs = [(a, b) for i, a in enumerate(ups) for b in ups[i:]]
+        xs = [Fr(-1, 2), Fr(-7, 3), Fr(-40, 9)]
+        for n, (a, b) in enumerate(pairs):
+            x = xs[n % len(xs)]
+            for e in (Fr(1, 7), Fr(1, 97), Fr(1, 1009), Fr(1, 10007), Fr(1, 99991),
+                      Fr(1, 1000003)):
+                c = a + b + e
+                with mpmath.workdps(40):
+                    ma, mb, mc = (mpmath.mpf(q.numerator) / q.denominator for q in (a, b, c))
+                    ref = mpmath.gammaprod([mc, mc - ma - mb], [mc - ma, mc - mb])
+                    ref = Fr(mpmath.nstr(ref, 40))
+                for tol in (1e-8, 1e-12):
+                    r, certified = eval_or_best(Hyp3F2Params(a, b, x, c, x),
+                                                EvalConfig(tol=tol))
+                    assert abs(Fr(r.value) - ref) <= Fr(r.err), (a, b, e, tol)
+                    assert r.err <= tol or not certified
 
     def test_err_honored_against_references(self):
         # (4, 14, 2; 23) once came back with err 2.2e-14 at 2.3e-14 from
@@ -316,53 +345,21 @@ class TestHyp3F2:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_transform_raises_every_script_f_excess_to_one(self):
-        # every label of N <= 23, and the extreme labels of N = 97
-        for N, labels in ((5, range(1, 5)), (13, range(1, 13)),
-                          (23, range(1, 23)), (97, (1, 2, 48, 95, 96))):
-            for a in labels:
-                for b in labels:
-                    if (a + b) % N == 0:
-                        continue
-                    for j in range(1, N + 1):
-                        ups, b1, b2, s, D = _integer_params(
-                            script_f_params(a, j, b, N))
-                        pick = _thomae_pick(ups, b1, b2, s, D)
-                        # the new excess is the chosen upper parameter
-                        assert pick is not None and ups[pick] >= D, (a, j, b, N)
-
-    def test_transformed_script_f_sets_need_few_terms(self):
-        # excess >= 1: the first checkpoints certify, where the direct
-        # series of (4, 14, 2; 23) needs 1025 terms at excess 2/23
+    def test_script_f_sets_need_few_terms(self):
+        # the first checkpoint certifies the default tol, at excess down to
+        # 2/23: the tail is closed from its exact expansion
         for key in SCRIPT_F_3F2_REFS:
-            assert hyp3f2_unit(script_f_params(*key), CFG).effort <= 129, key
-
-    def test_untransformable_sets_stay_direct(self):
-        # Basel has no upper parameter above its excess; the next two end
-        # after a few terms, and the transform of the second through 5 would
-        # not end; the last one's transform through 60 has the upper
-        # parameter 3/2 - 60, so its terms would alternate and reach 1e14
-        for p in (Hyp3F2Params(1, 1, 1, 2, 2),
-                  Hyp3F2Params(-3, Fr(1, 2), 1, 2, Fr(3, 2)),
-                  Hyp3F2Params(-2, 5, Fr(1, 2), Fr(9, 2), Fr(7, 2)),
-                  Hyp3F2Params(60, Fr(1, 2), Fr(1, 2), Fr(121, 2), Fr(3, 2))):
-            assert _thomae_pick(*_integer_params(p)) is None
-            assert hyp3f2_unit(p, CFG) == _hyp3f2_direct(p, CFG)
+            assert hyp3f2_unit(script_f_params(*key), CFG).effort == 65, key
 
     def test_target_that_ends_past_term_zero_is_summed_directly(self):
-        # the transform through 600 has the upper parameter 2 - 600: its
-        # terms alternate and cancel under a prefactor of about e^655, and
-        # end at term 598.  Reference: mpmath 1.3.0 summing term by term at
-        # 40 and 60 digits
+        # Thomae's relation through 600 gives the upper parameter 2 - 600,
+        # whose terms alternate and cancel under a prefactor of about e^655
+        # and end at term 598; the series as given certifies.  Reference:
+        # mpmath 1.3.0 summing term by term at 40 and 60 digits
         p = Hyp3F2Params(600, 1, 1, 2, 1000)
-        assert _thomae_pick(*_integer_params(p)) is None
         r = hyp3f2_unit(p, CFG)
         assert r.err <= CFG.tol
         assert abs(Fr(r.value) - Fr("1.52775313556671793116814064035")) <= Fr(r.err)
-        # a target that ends at term 0, with the series exactly 1, is taken
-        ups, b1, b2, s, D = _integer_params(script_f_params(1, 2, 2, 5))
-        pick = _thomae_pick(ups, b1, b2, s, D)
-        assert pick is not None and b1 - ups[pick] == 0
 
     def test_refusal_writes_a_huge_parameter_briefly(self):
         # sign, six leading digits and the power of ten, not all 401 or 5001
@@ -374,11 +371,9 @@ class TestHyp3F2:
             assert short in str(ei.value) and len(str(ei.value)) < 100
 
     def test_non_script_f_sets_honor_err(self):
-        # the first is summed directly at excess 1; the second directly at
-        # excess 197 and the third at excess 180 after the transform
-        # through 180, where k^(1+s) at the first checkpoint exceeds the
-        # float range.  References: mpmath 1.3.0 at 40 and 60 digits (the
-        # last two summed term by term)
+        # excess 1, 197 and 359/2; the second's and the third's first
+        # checkpoints wait for 1024 and 2048 terms.  References: mpmath
+        # 1.3.0 at 40 and 60 digits (the last two summed term by term)
         for p, ref in (
                 (Hyp3F2Params(60, Fr(1, 2), Fr(1, 2), Fr(121, 2), Fr(3, 2)),
                  "1.50390938137695886112254140250"),
@@ -389,7 +384,7 @@ class TestHyp3F2:
             assert r.err <= CFG.tol
             assert abs(Fr(r.value) - Fr(ref)) <= Fr(r.err)
 
-    # untransformed series with parameters far above the 64-term first
+    # series with parameters far above the 64-term first
     # checkpoint, whose tail model expands in parameter / k; made with
     # mpmath 1.3.0 by summing term by term,
     #     with mpmath.workdps(60):
@@ -413,9 +408,10 @@ class TestHyp3F2:
             r = hyp3f2_unit(Hyp3F2Params(*params), CFG)
             assert abs(Fr(r.value) - Fr(ref)) <= Fr(r.err), params
 
-    def test_tol_below_prefactor_rounding_stops_early(self):
-        # the prefactor's rounding alone is ~1e-13 here, so no checkpoint
-        # can reach 1e-14: the series stops once its err stops falling
+    def test_tol_below_series_rounding_stops_early(self):
+        # err is smallest, 2.0e-14, at the 64-term checkpoint, and the
+        # rounding of the terms summed passes 1e-14 by 1024 terms: the
+        # series stops once its err stops falling
         p = Hyp3F2Params(Fr(3, 13), Fr(1, 13), 1, Fr(4, 13), Fr(14, 13))
         with pytest.raises(BudgetExceededError) as ei:
             hyp3f2_unit(p, EvalConfig(tol=1e-14))
@@ -598,24 +594,26 @@ class TestTailModel:
 
     def test_hurwitz_zeta_against_mpmath(self):
         # the zeta orders 1 + excess + p, p = 0..8, from the first term past
-        # each checkpoint K, scaled by K^order as the tail sums use them.
-        # mpmath's own error reaches 6e-11 at order 30 and 80 digits, so
-        # the reference takes 120
+        # each checkpoint K, scaled by K^order as the tail sums use them;
+        # each order is passed as its excess e over 1, and the reference
+        # takes the order 1 + e exactly.  mpmath's own error reaches 6e-11
+        # at order 30 and 80 digits, so the reference takes 120
         mpmath = pytest.importorskip("mpmath")
-        for s in (1 / 97, 1 / 13, 1 / 2, 1.0, 2 + 1 / 7, 3 + 96 / 97, 12.0):
+        for s in (1 / 1000003, 1 / 97, 1 / 13, 1 / 2, 1.0, 2 + 1 / 7, 3 + 96 / 97, 12.0):
             for K in (64, 1024, 16384, 524288):
                 for p in range(specialfn._TAIL_ORDERS + 1):
-                    order = 1.0 + s + p
+                    e = s + p
                     with mpmath.workdps(120):
+                        order = 1 + mpmath.mpf(e)
                         want = mpmath.zeta(order, K + 1) * mpmath.mpf(K) ** order
-                    got = _hurwitz_zeta(order, K + 1, K)
-                    assert abs(got - want) <= 1e-15 * want, (order, K)
+                    got = _hurwitz_zeta(e, K + 1, K)
+                    assert abs(got - want) <= 1e-15 * want, (e, K)
         # and unscaled
-        for s in (1 + 1 / 97, 1 + 1 / 13, 1.5, 2.0, 3 + 1 / 7, 4 + 96 / 97, 8.0, 12.0):
+        for e in (1 / 97, 1 / 13, 0.5, 1.0, 2 + 1 / 7, 3 + 96 / 97, 7.0, 11.0):
             for a in (1, 7, 33, 2049, 16385, 524289):
                 with mpmath.workdps(80):
-                    want = mpmath.zeta(s, a)
-                assert abs(_hurwitz_zeta(s, a) - want) <= 1e-15 * want, (s, a)
+                    want = mpmath.zeta(1 + mpmath.mpf(e), a)
+                assert abs(_hurwitz_zeta(e, a) - want) <= 1e-15 * want, (e, a)
 
 
 class TestConfig:

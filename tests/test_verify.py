@@ -26,8 +26,8 @@ def test_regulator_suite_computes_each_pairing_once(monkeypatch):
 
 
 def test_special_suite_computes_each_reference_set_once(monkeypatch):
-    # the err-honored check and the Thomae/direct check share the five
-    # reference sets' values
+    # Basel, the zero upper parameter, 20 Gauss draws, the six reference
+    # sets and 10 pairs of tolerances
     calls = _counted(monkeypatch, specialfn, "hyp3f2_unit")
     assert all(r.passed for r in verify._special_checks())
     assert calls[0] == 48
