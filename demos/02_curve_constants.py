@@ -3,12 +3,13 @@
 Differential forms on the curve are indexed by residue pairs (a, b) with
 a, b, a+b all nonzero mod N; the form is holomorphic when a + b < N after
 reduction to 1..N.  The building blocks here are the period integrals
-B(a/N, b/N)/N, the character sums mu, and the Hodge test for wedge pairs.
+B(a/N, b/N)/N, the root-of-unity coefficient mu_half, and the Hodge test
+for wedge pairs.
 """
 
 import math
 
-from fermatreg import FormIndex, WedgeIndex, genus, is_hodge, mu, mu_half, period
+from fermatreg import FormIndex, WedgeIndex, genus, is_hodge, mu_half, period
 
 N = 13
 print(f"genus of the degree-{N} curve: {genus(N)}")
@@ -27,13 +28,11 @@ print(f"period of {idx}: {period(idx):.15f}")
 print(f"period of (1,1) mod 3: {period(FormIndex(3, 1, 1)):.15f}")
 print()
 
-# mu(a, b) is a quadratic expression in N-th roots of unity; it is always
-# purely imaginary
-z = mu(1, 1, 3)
-print(f"mu(1,1) mod 3     = {z:.6f}   (equals -9 sqrt(3) i: {-9 * math.sqrt(3):.6f})")
-
-# the mixed regulator uses the same expression built from 2N-th roots;
-# both normalizations are exposed since they differ by more than scaling
+# mu_half(a, b) = N^2 (1-z^a)(1-z^b)/(1-z^(a+b)) with z = exp(pi i/N), a
+# 2N-th root of unity, weights the mixed regulator; it is always purely
+# imaginary
+z = mu_half(1, 1, 3)
+print(f"mu_half(1,1) mod 3  = {z:.6f}   (equals -3 sqrt(3) i: {-3 * math.sqrt(3):.6f})")
 zh = mu_half(1, 2, 13)
 print(f"mu_half(1,2) mod 13 = {zh:.6f}")
 print()

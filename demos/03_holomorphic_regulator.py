@@ -46,10 +46,10 @@ oracle_series = 2.0 * (sy.value - sx.value) / per
 print(f"series oracle       = {oracle_series:.15f}  gap {abs(r.value - oracle_series):.1e}")
 print()
 
-# the underlying log integrals are negative, with x and y exchanged by
-# swapping the label
-lx = log_integral(a, b, N, variable="x", cfg=cfg)
-ly = log_integral(a, b, N, variable="y", cfg=cfg)
+# the underlying log integrals are negative; the y side of the label is
+# the x side of the swapped label
+lx = log_integral(a, b, N, cfg)
+ly = log_integral(b, a, N, cfg)
 print(f"L_x = {lx.value:.12f}, L_y = {ly.value:.12f}")
 print(f"2 (L_x - L_y) / period = {2.0 * (lx.value - ly.value) / per:.15f}")
 print()

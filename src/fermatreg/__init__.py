@@ -6,7 +6,7 @@ The package has three layers:
   and a certified 3F2-at-unit-argument evaluator (an accelerated series
   whose algebraic tail is closed from its exact large-k expansion);
 * :mod:`fermatreg.fermat` -- eigenform indexing on the curve x^N + y^N = 1,
-  period constants, the root-of-unity coefficients mu and mu_half, and the
+  period constants, the root-of-unity coefficient mu_half, and the
   Hodge-class predicate (by type, for every N >= 3);
 * :mod:`fermatreg.regulator` -- the script-F building block, the holomorphic
   and mixed regulator pairings, the f(i, N) indecomposability statistic, and
@@ -39,7 +39,6 @@ from .fermat import (
     is_hodge,
     is_in_IN,
     is_prime,
-    mu,
     mu_half,
     period,
 )
@@ -61,7 +60,7 @@ __all__ = [
     "one_minus_root",
     # fermat
     "FormIndex", "WedgeIndex", "bracket", "genus", "is_hodge", "is_in_IN",
-    "is_prime", "mu", "mu_half", "period",
+    "is_prime", "mu_half", "period",
     # regulator
     "f_indec", "im_reg_mixed", "log_integral",
     "oracle_projector_integral", "oracle_series_sum", "reg_holomorphic",

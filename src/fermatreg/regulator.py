@@ -123,23 +123,19 @@ def _weighted_sum(terms: list[tuple[float, int, int, int]], N: int,
     return EvalResult(math.fsum(products), err, sum(f.effort for f in fs.values()))
 
 
-def log_integral(a: int, b: int, N: int, variable: str = "x",
-                 cfg: EvalConfig = EvalConfig()) -> EvalResult:
-    """Weighted log-kernel integral over the curve side named by ``variable``.
+def log_integral(a: int, b: int, N: int, cfg: EvalConfig = EvalConfig()) -> EvalResult:
+    """Weighted log-kernel integral over the x side of the curve.
 
-    Equals -(B(a/N, b/N)/N) * sum_{j=1}^{N} F(a, j, b) for variable "x", with
-    the roles of a and b exchanged for "y".  Always negative: it integrates
-    log of a quantity below 1 against a positive weight.  ``err`` includes
-    the rounding of the Beta prefactor (see :func:`gamma_ratio`).
+    Equals -(B(a/N, b/N)/N) * sum_{j=1}^{N} F(a, j, b); the y side is the
+    same integral on the swapped label, log_integral(b, a, N).  Always
+    negative: it integrates log of a quantity below 1 against a positive
+    weight.  ``err`` includes the rounding of the Beta prefactor (see
+    :func:`gamma_ratio`).
     """
-    aa, bb = _holomorphic(a, b, N)
-    if variable == "y":
-        aa, bb = bb, aa
-    elif variable != "x":
-        raise DomainError("variable must be 'x' or 'y'")
-    total = _weighted_sum([(1.0, aa, j, bb) for j in range(1, N + 1)], N, cfg)
+    a, b = _holomorphic(a, b, N)
+    total = _weighted_sum([(1.0, a, j, b) for j in range(1, N + 1)], N, cfg)
     # the division by N and the product with the sum round once each
-    B, rel = gamma_ratio((aa / N, bb / N), ((aa + bb) / N,))
+    B, rel = gamma_ratio((a / N, b / N), ((a + b) / N,))
     return _scaled(total, -B / N, rel + 2.0 * _EPS)
 
 
@@ -170,11 +166,12 @@ def im_reg_mixed(a: int, b: int, c: int, d: int, N: int,
     and returns its imaginary part: every F is real, so the imaginary parts
     of the ``mu_half`` values are the weights.  <x> reduces into
     {1, ..., N} so a vanishing shift contributes a full period, not zero.
-    The coefficients are the half-angle ``mu_half`` values; with the
-    standard full-angle ``mu`` the result would not match direct projector
-    integration (the oracles here, and the reference table, pin this
-    normalization).  Both index pairs must be holomorphic.  Exactly
-    antisymmetric under swapping the pairs and exactly zero on the diagonal.
+    The coefficients are the half-angle ``mu_half`` values, built on
+    exp(pi i/N): with the full-angle root exp(2 pi i/N) the result would
+    not match direct projector integration (the oracles here, and the
+    reference table, pin this normalization).  Both index pairs must be
+    holomorphic.  Exactly antisymmetric under swapping the pairs and
+    exactly zero on the diagonal.
     """
     a, b = _holomorphic(a, b, N)
     c, d = _holomorphic(c, d, N)
@@ -218,7 +215,7 @@ def oracle_series_sum(a: int, b: int, N: int,
     """sum_{j>=1} B((a+j)/N, b/N) / (j N) by direct summation.
 
     Regroups the double series behind the log-kernel integral (equal to
-    -log_integral(a, b, N, "x")); terms are positive and decay like
+    -log_integral(a, b, N)); terms are positive and decay like
     j^(-1-b/N).  In x = j/N the term is the Gamma ratio
     G(b/N) G(x + a/N) G(x) / (N^2 G(x + (a+b)/N) G(x + 1)), so the tail
     past the K-th term is closed by :func:`algebraic_tail_sum` from its
@@ -325,7 +322,6 @@ def _projector_average(qs: list[EvalResult], a: int, b: int,
 
 
 def oracle_projector_integral(a: int, b: int, c: int, d: int, N: int,
-                              variable: str = "x",
                               cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Brute-force projection of the twisted log-kernel integrals.
 
@@ -333,24 +329,19 @@ def oracle_projector_integral(a: int, b: int, c: int, d: int, N: int,
         K_r = (1/N) * int_0^1 Log(1 - z^r t^(1/N)) t^(a/N - 1) (1-t)^(b/N - 1) dt
     by quadrature (no series acceleration anywhere), then projects their
     (a, b)-twisted translates onto the (c, d) component, normalized by N^2
-    times the (a, b) period.  Variable "y" is variable "x" on the swapped
-    labels (b, a, d, c), bit for bit.  Matches the script-F closed forms:
+    times the (a, b) period.  Matches the script-F closed form
 
-        "x" result = -[b==d] * F(a, <c-a>, b),
-        "y" result = -[a==c] * F(b, <d-b>, a),
+        result = -[b==d] * F(a, <c-a>, b)
 
-    up to the certified error bounds, which is what makes it an independent
-    check on them, of the normalization and the projection too: a wrong
-    one misses the closed form, or leaves a nonzero value on mismatched
-    labels.  Each integral is asked for the share of cfg.tol that survives
+    up to the certified error bounds; on the swapped labels (b, a, d, c),
+    the y side of the curve, that reads -[a==c] * F(b, <d-b>, a).  This
+    makes it an independent check on the closed forms, of the
+    normalization and the projection too: a wrong one misses the closed
+    form, or leaves a nonzero value on mismatched labels.  Each integral is asked for the share of cfg.tol that survives
     the division by the norm.  Returns a complex-valued result.
     """
     a, b = _holomorphic(a, b, N)
     c, d = _holomorphic(c, d, N)
-    if variable == "y":
-        a, b, c, d = b, a, d, c
-    elif variable != "x":
-        raise DomainError("variable must be 'x' or 'y'")
     norm = N * N * period(FormIndex(N, a, b))
     inner = EvalConfig(max(cfg.tol * abs(norm) / (8.0 * N), 1e-14))
     e1 = a / N - 1.0

@@ -388,6 +388,12 @@ def algebraic_tail_sum(t_top: float, k_top: int, ups: Sequence[int], downs: Sequ
     should be at least 8 times the largest shift in size.  Returns (tail,
     model_err): twice the first omitted order, its pull on the anchored A
     included, plus 16 eps of the orders' magnitudes for the rounding.
+
+    Where the first log-coefficient c_1 = (sum B_2(up) - sum B_2(down))
+    unit / (2 k_top) exceeds 1/2 in size, the orders kept no longer sum
+    exp's power series, so the tail is bounded instead, between 0 and a
+    sum B built from the log-coefficients alone: it returns B/2, with
+    model_err B/2 and its rounding, or inf where B is not finite.
     """
     s = (sum(downs) - sum(ups) - den) / den
     powers = [den ** k for k in range(_TAIL_ORDERS + 2)]
@@ -402,6 +408,22 @@ def algebraic_tail_sum(t_top: float, k_top: int, ups: Sequence[int], downs: Sequ
                     b = b * m + coef
                 total += sign * b
         c.append(total * unit ** n / (210 * n * (n + 1) * powers[n + 1] * k_top ** n))
+    if abs(c[0]) > 0.5:
+        # with x = k_top/k < 1, t_k / t_top = x^(1+s) exp(sum c_n (x^n - 1)),
+        # and |x^n - 1| <= min(1, n (1 - x)) <= min(1, -n log x), so
+        # t_k / t_top <= x^(1+s) min(e^S, x^-C), S = sum |c_n|, C = sum n |c_n|,
+        # each counting the last order twice for those omitted and shaded by
+        # its rounding; every t_k has t_top's sign
+        S = (math.fsum(map(abs, c)) + abs(c[-1])) * (1.0 + 4.0 * _EPS)
+        C = math.fsum(n * abs(cn) for n, cn in enumerate(c, 1)) + _TAIL_ORDERS * abs(c[-1])
+        e = s - C - 8.0 * _EPS * (s + C)
+        sums = [math.exp(S) * _hurwitz_zeta(s, k_top + 1, k_top)] if S < 709.0 else []
+        if e > 0.0:
+            sums.append(_hurwitz_zeta(e, k_top + 1, k_top))
+        half = abs(t_top) * min(sums, default=math.inf) / 2
+        if not half < math.inf:  # neither sum is finite: no bound
+            return 0.0, math.inf
+        return math.copysign(half, t_top), half + 32.0 * _EPS * half
     # e_p (unit/k_top)^p, by the power series of exp: p e_p = sum_n n c_n e_(p-n)
     w = [1.0]
     for p in range(1, _TAIL_ORDERS + 1):
@@ -480,9 +502,12 @@ def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     anchored on t_K: the term is a ratio of Gammas with shifts a1, a2, a3
     over b1, b2, 1.  The expansion is in parameter / k, so the first
     checkpoint is the first that is at least 8 times the largest parameter
-    in size.  The expansion closes a slowly decaying tail as well as a fast
-    one, whatever the excess, so the budget binds only at a tight tol,
-    where the rounding of a slowly decaying series adds up.  A series with
+    in size.  While the expansion's first log-coefficient, about the upper
+    parameters' squares less the lower ones' over 2K, exceeds 1/2 in size,
+    the tail is bounded, not estimated (see :func:`algebraic_tail_sum`).
+    The expansion closes a slowly decaying tail as well as a fast one,
+    whatever the excess, so the budget binds only at a tight tol, where
+    the rounding of a slowly decaying series adds up.  A series with
     the upper parameter -m, m within the budget, ends at term m; that end
     is its one checkpoint, with no tail.
 

@@ -126,8 +126,9 @@ def _one_minus_roots(N: int) -> list[complex]:
 
 
 def _root_product(w: list[complex], a: int, b: int) -> complex:
-    """mu's defining product N^2 (1-z^a)(1-z^b)/(1-z^(a+b)), z = exp(2 pi i/N),
-    from ``w = _one_minus_roots(N)``: fermat.mu's reference."""
+    """The product N^2 (1-z^a)(1-z^b)/(1-z^(a+b)), z = exp(2 pi i/N), from
+    ``w = _one_minus_roots(N)``; at the doubled modulus 2N, over 4, it is
+    fermat.mu_half's defining product at N."""
     N = len(w)
     return N * N * (w[a] * w[b]) / w[(a + b) % N]
 
@@ -154,40 +155,30 @@ def _fermat_checks() -> list[CheckResult]:
     out.append(_check("genus equals count of holomorphic eigenform labels",
                       0.0 if ok else 1.0, 0.0))
 
-    # one pass per modulus over 12 854 labels in all, with _root_product
-    # written out and the maxima kept by comparison, not max() calls
+    # one pass per modulus over 12 854 labels in all, with _root_product at
+    # 2N over 4 written out and the maxima kept by comparison, not max() calls
     worst_re = 0.0
     worst_im = 0.0
-    mu = fermat.mu
+    mu_half = fermat.mu_half
     for N in (3, 4, 5, 7, 11, 23, 50, 101):
-        w = _one_minus_roots(N)
+        w = _one_minus_roots(2 * N)
         for a in range(1, N):
             wa = w[a]
             for b in range(1, N):
                 if a + b == N:
                     continue
-                p = N * N * (wa * w[b]) / w[(a + b) % N]
-                m = mu(a, b, N)
+                p = N * N * (wa * w[b]) / w[a + b]
+                m = mu_half(a, b, N)
                 d_re = abs(m.real - p.real) / abs(p)
                 d_im = abs(m.imag - p.imag) / abs(p.imag)
                 if d_re > worst_re:
                     worst_re = d_re
                 if d_im > worst_im:
                     worst_im = d_im
-    out.append(_check("Re mu matches the root product's real part (relative to |mu|)",
-                      worst_re, 1e-10))
-    out.append(_check("Im mu matches the root product (relative)", worst_im, 1e-12))
-
-    worst = 0.0
-    for N in (5, 7, 13, 23):
-        w = _one_minus_roots(2 * N)
-        for a in range(1, N):
-            for b in range(1, N - a):
-                lhs = 4.0 * fermat.mu_half(a, b, N)
-                rhs = _root_product(w, a, b)
-                worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    out.append(_check("mu_half is the doubled-modulus mu over 4 (relative)",
-                      worst, 1e-12))
+    out.append(_check("Re mu_half matches the doubled-modulus root product's real part "
+                      "(relative to |mu_half|)", worst_re, 1e-10))
+    out.append(_check("Im mu_half matches the doubled-modulus root product over 4 (relative)",
+                      worst_im, 1e-12))
 
     # each FormIndex is built once per loop that uses it
     ok = True
@@ -240,8 +231,8 @@ def _regulator_checks() -> list[CheckResult]:
     worst = 0.0
     for (a, b, N) in ((1, 2, 5), (2, 3, 7)):
         reg = holo[a, b, N]
-        lx = log_x[a, b, N] = regulator.log_integral(a, b, N, "x")
-        ly = regulator.log_integral(a, b, N, "y")
+        lx = log_x[a, b, N] = regulator.log_integral(a, b, N)
+        ly = regulator.log_integral(b, a, N)
         per = fermat.period(fermat.FormIndex(N, a, b))
         worst = max(worst, abs(reg.value - 2.0 * (lx.value - ly.value) / per)
                     - (reg.err + 2.0 * (lx.err + ly.err) / per))
@@ -251,7 +242,7 @@ def _regulator_checks() -> list[CheckResult]:
     worst = 0.0
     for (a, b, N) in ((1, 2, 5), (1, 1, 3), (2, 3, 7)):
         s = regulator.oracle_series_sum(a, b, N)
-        lx = log_x.get((a, b, N)) or regulator.log_integral(a, b, N, "x")
+        lx = log_x.get((a, b, N)) or regulator.log_integral(a, b, N)
         worst = max(worst, abs(s.value + lx.value) - (s.err + lx.err))
     out.append(_check("regrouped series equals -log integral within errs",
                       max(worst, 0.0), 0.0))
@@ -293,7 +284,7 @@ def _regulator_checks() -> list[CheckResult]:
     out.append(_check("wedge ((1,2),(1,4)) mod 13 is not Hodge",
                       0.0 if not fermat.is_hodge(w) else 1.0, 0.0))
 
-    br = regulator.oracle_projector_integral(1, 2, 1, 1, 5, "y")
+    br = regulator.oracle_projector_integral(2, 1, 1, 1, 5)
     closed = -regulator.script_F(2, fermat.bracket(1 - 2, 5), 1, 5).value
     out.append(_check("projector integral vs script-F closed form",
                       abs(br.value - closed), br.err + EvalConfig().tol + 1e-9))

@@ -20,7 +20,7 @@ from fermatreg.fermat import (
     is_hodge,
     is_in_IN,
     is_prime,
-    mu,
+    mu_half,
     period,
 )
 from fermatreg.regulator import (
@@ -197,10 +197,10 @@ def test_criterion_4_projector_oracle_vs_closed_form():
         N = rng.choice((5, 7, 11, 13))
         labels = holo_labels(N)
         a, b = rng.choice(labels)
-        variable = rng.choice(("x", "y"))
+        side = rng.choice(("x", "y"))
         force_hit = trial % 2 == 0
         if force_hit:
-            if variable == "x":
+            if side == "x":
                 cands = [(c, d) for (c, d) in labels if d == b]
             else:
                 cands = [(c, d) for (c, d) in labels if c == a]
@@ -208,13 +208,10 @@ def test_criterion_4_projector_oracle_vs_closed_form():
         else:
             c, d = rng.choice(labels)
 
-        o = oracle_projector_integral(a, b, c, d, N, variable, cfg)
-        if variable == "x":
-            hit = d == b
-            closed = script_F(a, bracket(c - a, N), b, N, cfg) if hit else None
-        else:
-            hit = c == a
-            closed = script_F(b, bracket(d - b, N), a, N, cfg) if hit else None
+        if side == "y":  # the y side of the curve: x on the swapped labels
+            a, b, c, d = b, a, d, c
+        o = oracle_projector_integral(a, b, c, d, N, cfg)
+        closed = script_F(a, bracket(c - a, N), b, N, cfg) if d == b else None
 
         if closed is None:
             want, want_err = 0.0, 0.0
@@ -258,17 +255,17 @@ def test_criterion_5_structural_invariants():
         if abs(im_reg_mixed(a, b, a, b, N, cfg).value) > 1e-10:
             failures.append(f"mixed diagonal ({a},{b}) mod {N}")
 
-    # mu purely imaginary, relative 1e-10, every label and modulus up to 101
+    # mu_half purely imaginary, relative 1e-10, every label and modulus up to 101
     mu_checked = 0
     for N in range(3, 102):
         for a in range(1, N):
             for b in range(a, N):
                 if not is_in_IN(a, b, N):
                     continue
-                z = mu(a, b, N)
+                z = mu_half(a, b, N)
                 mu_checked += 1
                 if abs(z.real) > 1e-10 * abs(z):
-                    failures.append(f"mu real part ({a},{b}) mod {N}")
+                    failures.append(f"mu_half real part ({a},{b}) mod {N}")
     assert mu_checked > 100000
 
     # residue bracket and label-set combinatorics, exhaustive to 23
@@ -303,7 +300,7 @@ def test_criterion_5_structural_invariants():
         "criterion 5 (structural invariants)",
         ok,
         "exact antisymmetry/diagonal, mixed swap/diagonal at 1e-10, "
-        f"mu imaginary at 1e-10 over {mu_checked} labels (N <= 101), "
+        f"mu_half imaginary at 1e-10 over {mu_checked} labels (N <= 101), "
         "bracket/labels/genus exhaustive to 23, Hodge multisets primes 5..23"
         + ("" if ok else "; failed: " + "; ".join(failures[:5])),
     )

@@ -403,9 +403,8 @@ VERIFY_PROPERTIES = [
     "log-endpoint quadrature vs -1",
     "bracket lands in {1..N} with period N",
     "genus equals count of holomorphic eigenform labels",
-    "Re mu matches the root product's real part (relative to |mu|)",
-    "Im mu matches the root product (relative)",
-    "mu_half is the doubled-modulus mu over 4 (relative)",
+    "Re mu_half matches the doubled-modulus root product's real part (relative to |mu_half|)",
+    "Im mu_half matches the doubled-modulus root product over 4 (relative)",
     "Hodge predicate: reflexive, and (1,i)~(1,j) iff j=i or j=N-1-i",
     "period of the (1,1) form on the cubic",
     "script-F(1,1,1;3) frozen value",

@@ -1,9 +1,10 @@
-"""Curve-level combinatorics and constants: residues, labels, periods, mu.
+"""Curve-level combinatorics and constants: residues, labels, periods, mu_half.
 
 Frozen constants were computed independently with 30+ digit arbitrary
 precision arithmetic and rounded to the printed digits.
 """
 
+import cmath
 import math
 from itertools import permutations
 
@@ -17,7 +18,6 @@ from fermatreg.fermat import (
     is_hodge,
     is_in_IN,
     is_prime,
-    mu,
     mu_half,
     period,
 )
@@ -131,36 +131,22 @@ class TestPeriod:
 _EPS = 2.0 ** -52
 
 
-def _assert_within_4_eps(fn, scale):
-    """Im fn(a, b, N) lies within 4 eps relative of mpmath's
-    -2 N^2 sin(pi a/M) sin(pi b/M) / sin(pi (a+b)/M), M = scale * N, on
-    every label with N <= 40."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        for N in range(3, 41):
-            s = [mpmath.sinpi(mpmath.mpf(k) / (scale * N)) for k in range(2 * N)]
-            for a in range(1, N):
-                for b in range(1, N):
-                    if a + b == N:
-                        continue
-                    want = -2 * N * N * s[a] * s[b] / s[a + b]
-                    got = fn(a, b, N).imag
-                    assert abs(got - want) <= 4 * _EPS * abs(want), (a, b, N)
-
-
 class TestMu:
+    """The contract of the root-of-unity coefficient mu_half: its domain,
+    its symmetry, its exact zero real part and its cost."""
+
     def test_frozen_value(self):
-        # mu(1, 1) at N = 3 is -9 sqrt(3) i
-        got = mu(1, 1, 3)
-        assert abs(got.real) <= 1e-10 * abs(got)
-        assert abs(got.imag + 9.0 * math.sqrt(3.0)) <= 1e-12
+        # mu_half(1, 1) at N = 3 is -3 sqrt(3) i
+        got = mu_half(1, 1, 3)
+        assert got.real == 0.0
+        assert abs(got.imag + 3.0 * math.sqrt(3.0)) <= 1e-12
 
     def test_symmetry(self):
         for N in range(3, 61):
             for a in range(1, N):
                 for b in range(a, N):
                     if a + b != N:
-                        assert mu(a, b, N) == mu(b, a, N), (a, b, N)
+                        assert mu_half(a, b, N) == mu_half(b, a, N), (a, b, N)
 
     def test_purely_imaginary_sweep(self):
         for N in (3, 4, 5, 7, 11, 23, 50, 101):
@@ -168,67 +154,60 @@ class TestMu:
                 for b in range(a, N):
                     if not is_in_IN(a, b, N):
                         continue
-                    assert mu(a, b, N).real == 0.0, (a, b, N)
+                    assert mu_half(a, b, N).real == 0.0, (a, b, N)
 
     def test_magnitude_trig_form(self):
-        # Im mu = -2 N^2 sin(pi a/N) sin(pi b/N) / sin(pi (a+b)/N)
-        for (a, b, N) in ((1, 1, 3), (1, 2, 5), (3, 4, 11), (5, 9, 23)):
-            z = mu(a, b, N)
+        # past a + b = N the closed form takes sin(pi (a+b)/(2N)) from the
+        # far end of [0, pi]; the formula itself holds on every label
+        for (a, b, N) in ((2, 2, 3), (3, 4, 5), (7, 9, 11), (20, 22, 23)):
+            z = mu_half(a, b, N)
             want = (
                 -2.0 * N * N
-                * math.sin(math.pi * a / N)
-                * math.sin(math.pi * b / N)
-                / math.sin(math.pi * (a + b) / N)
+                * math.sin(math.pi * a / (2 * N))
+                * math.sin(math.pi * b / (2 * N))
+                / math.sin(math.pi * (a + b) / (2 * N))
             )
             assert abs(z.imag - want) <= 1e-12 * abs(want)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            mu(3, 1, 3)
+            mu_half(3, 1, 3)
         with pytest.raises(DomainError):
-            mu(1, 2, 3)  # a + b = 0 mod 3
-
-    def test_reduction_keeps_the_bits(self):
-        # shifting a, b by multiples of N gives the same value bit for bit
-        for N in range(3, 61):
-            for a in range(1, N):
-                for b in range(1, N):
-                    if a + b != N:
-                        want = repr(mu(a, b, N))
-                        assert repr(mu(a + N, b - 2 * N, N)) == want, (a, b, N)
+            mu_half(1, 2, 3)  # a + b = 0 mod 3
 
     def test_modulus_below_3_is_a_domain_error(self):
         for N in (-4, 0, 1, 2):
             with pytest.raises(DomainError, match="at least 3"):
-                mu(1, 1, N)
+                mu_half(1, 1, N)
 
     def test_large_modulus_builds_no_table(self):
-        # nothing of size N is built: a table of the N roots would take
-        # ~40 MB here
+        # nothing of size N is built: a table of the 2N roots would take
+        # ~80 MB here
         import tracemalloc
 
         N = 10 ** 6
         tracemalloc.start()
         try:
-            got = mu(1, 2, N)
+            got = mu_half(1, 2, N)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        want = (-2.0 * N * N * math.sin(math.pi / N) * math.sin(2 * math.pi / N)
-                / math.sin(3 * math.pi / N))
+        want = (-2.0 * N * N * math.sin(math.pi / (2 * N)) * math.sin(math.pi / N)
+                / math.sin(3 * math.pi / (2 * N)))
         assert abs(got.imag - want) <= 1e-12 * abs(want)
-
-    def test_within_4_eps_of_mpmath(self):
-        _assert_within_4_eps(mu, 1)
 
 
 class TestMuHalf:
+    """The value of mu_half: its defining root product, frozen digits and
+    its error against mpmath."""
+
     def test_relation_to_doubled_modulus(self):
-        for (a, b, N) in ((1, 2, 13), (1, 4, 13), (2, 3, 7), (1, 1, 3)):
-            lhs = mu_half(a, b, N)
-            rhs = mu(a, b, 2 * N) / 4.0
-            assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+        # N^2 (1-z^a)(1-z^b)/(1-z^(a+b)) with z = exp(pi i/N), the 2N-th root
+        for (a, b, N) in ((1, 2, 13), (1, 4, 13), (2, 3, 7), (1, 1, 3), (5, 6, 7)):
+            z = cmath.exp(complex(0.0, math.pi / N))
+            want = N * N * (1 - z ** a) * (1 - z ** b) / (1 - z ** (a + b))
+            assert abs(mu_half(a, b, N) - want) <= 1e-12 * abs(want)
 
     def test_frozen_value(self):
         got = mu_half(1, 2, 13)
@@ -259,7 +238,19 @@ class TestMuHalf:
                     assert repr(mu_half(a + N, b - 2 * N, N)) == repr(got), (a, b, N)
 
     def test_within_4_eps_of_mpmath(self):
-        _assert_within_4_eps(mu_half, 2)
+        # against -2 N^2 sin(pi a/2N) sin(pi b/2N) / sin(pi (a+b)/2N) at 40
+        # digits, on every label with N <= 40
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for N in range(3, 41):
+                s = [mpmath.sinpi(mpmath.mpf(k) / (2 * N)) for k in range(2 * N)]
+                for a in range(1, N):
+                    for b in range(1, N):
+                        if a + b == N:
+                            continue
+                        want = -2 * N * N * s[a] * s[b] / s[a + b]
+                        got = mu_half(a, b, N).imag
+                        assert abs(got - want) <= 4 * _EPS * abs(want), (a, b, N)
 
 
 class TestHodge:

@@ -123,16 +123,12 @@ class TestScriptF:
 
 class TestLogIntegral:
     def test_frozen_values(self):
-        rx = log_integral(1, 2, 5, variable="x", cfg=CFG)
-        ry = log_integral(1, 2, 5, variable="y", cfg=CFG)
+        # the x side of (1, 2), and its y side: the x side of the swapped label
+        rx = log_integral(1, 2, 5, CFG)
+        ry = log_integral(2, 1, 5, CFG)
         assert abs(rx.value + 2.655269323666501413924) <= 1e-9
         assert abs(ry.value + 6.9623134996564950831) <= 1e-9
         assert rx.value < 0.0 and ry.value < 0.0
-
-    def test_symmetric_label_gives_equal_integrals(self):
-        rx = log_integral(1, 1, 3, variable="x", cfg=CFG)
-        ry = log_integral(1, 1, 3, variable="y", cfg=CFG)
-        assert rx.value == ry.value
 
     def test_against_direct_quadrature(self):
         # (1/N) * int_0^1 log(1 - t^(1/N)) t^(a/N-1) (1-t)^(b/N-1) dt
@@ -145,14 +141,12 @@ class TestLogIntegral:
             EvalConfig(tol=1e-11),
         )
         want = q.value / N
-        r = log_integral(a, b, N, variable="x", cfg=CFG)
+        r = log_integral(a, b, N, CFG)
         assert abs(r.value - want) <= r.err + q.err / N
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            log_integral(2, 4, 5, variable="x", cfg=CFG)  # not holomorphic
-        with pytest.raises(DomainError):
-            log_integral(1, 2, 5, variable="z", cfg=CFG)
+            log_integral(2, 4, 5, CFG)  # not holomorphic
 
 
 class TestRegHolomorphic:
@@ -175,8 +169,8 @@ class TestRegHolomorphic:
         # reg = 2 (L_x - L_y) / period
         for (a, b, N) in ((1, 2, 5), (2, 3, 7), (1, 1, 3)):
             r = reg_holomorphic(a, b, N, CFG)
-            lx = log_integral(a, b, N, variable="x", cfg=CFG)
-            ly = log_integral(a, b, N, variable="y", cfg=CFG)
+            lx = log_integral(a, b, N, CFG)
+            ly = log_integral(b, a, N, CFG)
             per = period(FormIndex(N, a, b))
             want = 2.0 * (lx.value - ly.value) / per
             scale = max(1.0, abs(r.value))
@@ -336,7 +330,7 @@ class TestOracleSeriesSum:
     def test_negates_log_integral(self):
         for (a, b, N) in ((1, 2, 5), (2, 3, 7)):
             s = oracle_series_sum(a, b, N, CFG)
-            l = log_integral(a, b, N, variable="x", cfg=CFG)
+            l = log_integral(a, b, N, CFG)
             assert abs(s.value + l.value) <= s.err + l.err
 
     # oracle_series_sum(a, b, N) for every holomorphic label with N <= 7,
@@ -409,7 +403,7 @@ class TestOracleSeriesSum:
         for (a, b, N) in ((1, 1, 19), (9, 1, 19), (1, 1, 23), (15, 1, 23),
                           (1, 1, 55), (1, 1, 101)):
             s = oracle_series_sum(a, b, N, CFG)
-            l = log_integral(a, b, N, variable="x", cfg=CFG)
+            l = log_integral(a, b, N, CFG)
             assert s.err <= CFG.tol, (a, b, N)
             assert abs(s.value + l.value) <= s.err + l.err, (a, b, N)
 
@@ -456,28 +450,23 @@ class TestProjectorOracles:
     def test_x_variable_against_closed_form(self):
         # second labels matching in b picks out -F(a, <c-a>, b)
         for (a, b, c, d, N) in ((1, 2, 3, 2, 7), (1, 2, 3, 2, 9), (1, 2, 5, 2, 12)):
-            o = oracle_projector_integral(a, b, c, d, N, "x", CFG)
+            o = oracle_projector_integral(a, b, c, d, N, CFG)
             want = -script_F(a, bracket(c - a, N), b, N, CFG).value
             assert abs(o.value.real - want) <= o.err + 1e-8, N
             assert abs(o.value.imag) <= o.err + 1e-8, N
 
     def test_y_variable_against_closed_form(self):
+        # the y side of (a, b), (c, d) is the x side of the swapped labels:
+        # first labels matching in a picks out -F(b, <d-b>, a)
         for (a, b, c, d, N) in ((1, 2, 1, 1, 5), (1, 3, 1, 5, 9), (5, 2, 5, 4, 12)):
-            o = oracle_projector_integral(a, b, c, d, N, "y", CFG)
+            o = oracle_projector_integral(b, a, d, c, N, CFG)
             want = -script_F(b, bracket(d - b, N), a, N, CFG).value
             assert abs(o.value.real - want) <= o.err + 1e-8, N
 
-    def test_y_variable_is_x_on_swapped_labels_bit_for_bit(self):
-        for (a, b, c, d, N) in ((1, 2, 1, 1, 5), (1, 3, 1, 5, 9), (2, 3, 4, 1, 9),
-                                (5, 2, 5, 4, 12), (1, 2, 3, 1, 12)):
-            y = oracle_projector_integral(a, b, c, d, N, "y", CFG)
-            x = oracle_projector_integral(b, a, d, c, N, "x", CFG)
-            assert repr(y) == repr(x), (a, b, c, d, N)
-
     def test_miss_gives_zero(self):
-        o = oracle_projector_integral(1, 2, 3, 1, 7, "x", CFG)  # d != b
+        o = oracle_projector_integral(1, 2, 3, 1, 7, CFG)  # d != b
         assert abs(o.value) <= o.err + 1e-8
-        o = oracle_projector_integral(1, 2, 3, 1, 7, "y", CFG)  # c != a
+        o = oracle_projector_integral(2, 1, 1, 3, 7, CFG)  # y side: c != a
         assert abs(o.value) <= o.err + 1e-8
 
 
@@ -486,12 +475,12 @@ class TestPairingSurface:
         lambda: hyp3f2_unit(Hyp3F2Params(1, 1, 1, 2, 2), CFG),
         lambda: de_quadrature(lambda x, xc: x, CFG),
         lambda: script_F(1, 2, 3, 13, CFG),
-        lambda: log_integral(1, 2, 5, "x", CFG),
+        lambda: log_integral(1, 2, 5, CFG),
         lambda: reg_holomorphic(1, 2, 5, CFG),
         lambda: im_reg_mixed(1, 2, 1, 4, 13, CFG),
         lambda: f_indec(2, 13, CFG),
         lambda: oracle_series_sum(1, 2, 5, CFG),
-        lambda: oracle_projector_integral(1, 2, 1, 1, 5, "x", CFG),
+        lambda: oracle_projector_integral(1, 2, 1, 1, 5, CFG),
     ], ids=["hyp3f2_unit", "de_quadrature", "script_F", "log_integral",
             "reg_holomorphic", "im_reg_mixed", "f_indec", "oracle_series_sum",
             "oracle_projector_integral"])
@@ -500,10 +489,10 @@ class TestPairingSurface:
 
     # (2, 4) mod 5 is an eigenform label, but not a holomorphic one
     @pytest.mark.parametrize("call", [
-        lambda: log_integral(2, 4, 5, "x", CFG),
+        lambda: log_integral(2, 4, 5, CFG),
         lambda: reg_holomorphic(7, 4, 5, CFG),
         lambda: im_reg_mixed(1, 2, 2, 4, 5, CFG),
-        lambda: oracle_projector_integral(1, 2, 2, 4, 5, "x", CFG),
+        lambda: oracle_projector_integral(1, 2, 2, 4, 5, CFG),
     ], ids=["log_integral", "reg_holomorphic", "im_reg_mixed",
             "oracle_projector_integral"])
     def test_non_holomorphic_label_raises_domain_error(self, call):
@@ -540,10 +529,10 @@ class TestPairingSurface:
                 check(reg_holomorphic(a, b, N, cfg),
                       2 * mpmath.fsum(F(b, j, a, N) - F(a, j, b, N) for j in js),
                       (a, b, N))
-                for variable, (x, y) in (("x", (a, b)), ("y", (b, a))):
+                for (x, y) in ((a, b), (b, a)):  # the x side and the y side
                     want = (-mpmath.beta(mpf(x) / N, mpf(y) / N) / N
                             * mpmath.fsum(F(x, j, y, N) for j in js))
-                    check(log_integral(a, b, N, variable, cfg), want, (a, b, N, variable))
+                    check(log_integral(x, y, N, cfg), want, (x, y, N))
             # a == c, b == d, and the f(2, 13) wedge
             for (a, b, c, d, N) in ((2, 3, 2, 1, 7), (1, 2, 3, 2, 7), (1, 2, 1, 4, 13)):
                 m_ab, m_cd = im_mu_half(a, b, N), im_mu_half(c, d, N)

@@ -479,9 +479,21 @@ TAIL_FIT_SETS = [
     ("watson", "-51/13", "76/7", "49/8"),
 ]
 
+# summed directly; each was certified by an exact tail expansion closed at
+# a first checkpoint where its first log-coefficient c_1 was still large
+# (-3.9 for the first set): three lay 7 to 150 errs from the sum at tol
+# 1e-8, and the last lay 1.16 off with err 4.4e-3 at tol 1e-2
+EARLY_TAIL_SETS = [
+    ("whipple", "7/10", "317/18", "306/5"),
+    ("whipple", "-51/10", "64/3", "-149/8"),
+    ("whipple", "233/13", "162/7", "247/2"),
+    ("whipple", "-49/8", "73/13", "328/3"),
+]
+
 
 class TestSummationTheoremSets:
-    @pytest.mark.parametrize("family, x, y, z", DRIFT_SETS + TAIL_FIT_SETS, ids=str)
+    @pytest.mark.parametrize("family, x, y, z", DRIFT_SETS + TAIL_FIT_SETS + EARLY_TAIL_SETS,
+                             ids=str)
     def test_value_lies_within_err(self, family, x, y, z):
         p, ref = summation_theorem(family, x, y, z)
         r = hyp3f2_unit(p, CFG)
@@ -591,6 +603,25 @@ class TestTailModel:
                 if k in (64, 1024, 16384):
                     self.assert_recovers((4, 6), (15, 12), 12, t, rest, k)
                 t *= (k + a) * (k + b) / ((k + c) * (k + 1))
+
+    def test_bounds_the_tail_where_c1_is_large(self):
+        # Gauss's terms at a = b = 60, closed at their first checkpoint, the
+        # first K at least 8 c, where the first log-coefficient c_1 is -3.6
+        # and -3.0: there the expansion's tail lay 9.5 and 1.1 model_errs off.
+        # The tail is bounded instead, by exp(sum |c_n|) at excess 1/2 and
+        # by (k/K)^(sum n |c_n|) at excess 20
+        mpmath = pytest.importorskip("mpmath")
+        for c_num, K in ((241, 1024), (280, 2048)):  # c = 241/2 and 140, shifts over 2
+            with mpmath.workdps(60):
+                a, c = mpmath.mpf(60), mpmath.mpf(c_num) / 2
+                rest = mpmath.gammaprod([a, a, c - 2 * a], [c - a, c - a])
+                t = mpmath.gammaprod([a, a], [c])
+                for k in range(K):
+                    rest -= t
+                    t *= (k + a) ** 2 / ((k + c) * (k + 1))
+                rest -= t
+            tail, model_err = algebraic_tail_sum(float(t), K, (120, 120), (c_num, 2), 2)
+            assert abs(Fr(tail) - Fr(mpmath.nstr(rest, 50))) <= Fr(model_err), c_num
 
     def test_hurwitz_zeta_against_mpmath(self):
         # the zeta orders 1 + excess + p, p = 0..8, from the first term past

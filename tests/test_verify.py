@@ -34,12 +34,12 @@ def test_special_suite_computes_each_reference_set_once(monkeypatch):
 
 
 def test_fermat_suite_builds_each_label_once(monkeypatch):
-    # 12 854 mu labels in the sweep and 318 behind mu_half; 636 labels in
-    # the reflexive Hodge loop, 67 (1, i) labels and the cubic's (1, 1)
-    mu_calls = _counted(monkeypatch, fermat, "mu")
+    # 12 854 mu_half labels in the sweep; 636 labels in the reflexive
+    # Hodge loop, 67 (1, i) labels and the cubic's (1, 1)
+    mu_calls = _counted(monkeypatch, fermat, "mu_half")
     index_calls = _counted(monkeypatch, fermat, "FormIndex")
     assert all(r.passed for r in verify._fermat_checks())
-    assert mu_calls[0] == 13172
+    assert mu_calls[0] == 12854
     assert index_calls[0] == 704
 
 
