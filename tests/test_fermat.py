@@ -175,6 +175,37 @@ class TestMu:
         with pytest.raises(DomainError):
             mu_half(1, 2, 3)  # a + b = 0 mod 3
 
+    def test_reduction_keeps_the_bits(self):
+        # shifting a, b by multiples of N, of either sign and of any size,
+        # gives the same value bit for bit
+        for N in range(3, 61):
+            for a in range(1, N):
+                for b in range(1, N):
+                    if a + b != N:
+                        want = repr(mu_half(a, b, N))
+                        for (i, j) in ((-1, 3), (5, -7), (-10 ** 6, 10 ** 9)):
+                            got = repr(mu_half(a + i * N, b + j * N, N))
+                            assert got == want, (a, b, N, i, j)
+
+    def test_within_4_eps_of_mpmath(self):
+        # the 4-eps bound of TestMuHalf, past its N <= 40 sweep: every label
+        # of two larger moduli, and a few labels at the 10^6 of the no-table
+        # test
+        mpmath = pytest.importorskip("mpmath")
+        big = 10 ** 6
+        cases = [(N, range(1, N), range(1, N)) for N in (41, 97)]
+        cases.append((big, (1, 2, big // 3, big - 1), (1, big // 2, big - 2)))
+        with mpmath.workdps(40):
+            for (N, As, Bs) in cases:
+                for a in As:
+                    for b in Bs:
+                        if (a + b) % N == 0:
+                            continue
+                        s = [mpmath.sinpi(mpmath.mpf(k) / (2 * N)) for k in (a, b, a + b)]
+                        want = -2 * N * N * s[0] * s[1] / s[2]
+                        got = mu_half(a, b, N).imag
+                        assert abs(got - want) <= 4 * _EPS * abs(want), (a, b, N)
+
     def test_modulus_below_3_is_a_domain_error(self):
         for N in (-4, 0, 1, 2):
             with pytest.raises(DomainError, match="at least 3"):
