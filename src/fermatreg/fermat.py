@@ -115,12 +115,9 @@ def mu_half(a: int, b: int, N: int) -> complex:
     3.3 eps relative on every label with N <= 200, and the value is
     symmetric in a, b bit for bit.
     """
-    # is_in_IN, written out: this runs ~13 000 times in the self-check
-    if N < 3:
-        raise DomainError("modulus must be at least 3")
-    ra, rb = a % N, b % N
-    if not (ra and rb and (ra + rb) % N):
+    if not is_in_IN(a, b, N):
         raise DomainError(f"({a}, {b}) is not an eigenform index mod {N}")
+    ra, rb = a % N, b % N
     # ra + rb lies in (0, 2N); past N, sin(pi (ra+rb)/(2N)) is taken from
     # the nearer end of [0, pi], where the argument loses no digits
     s = ra + rb if ra + rb < N else 2 * N - ra - rb

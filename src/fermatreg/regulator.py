@@ -22,8 +22,6 @@ eigenform component) so agreement can be checked instance by instance.
 import cmath
 import math
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul, truediv
 
 from .fermat import FormIndex, bracket, is_prime, mu_half, period
 from .specialfn import (
@@ -224,26 +222,25 @@ def oracle_series_sum(a: int, b: int, N: int,
     largest shift, max((a+b)/N, 1); a label with max(a+b, N) > 4096 has
     none within the 32768 terms, and raises :class:`DomainError`.
 
-    The terms are built per residue class j = r (mod N):
-    B((a+r)/N, b/N) comes from :func:`gamma_ratio` with its relative
-    bound, and each step j -> j + N applies the exact recurrence
-    B(m+1, n) = B(m, n) m/(m+n), where m/(m+n) is the ratio of ints
-    (a+j)/(a+b+j), rounded once.  The ratio, the product and the final
-    division by j N round once each, so with K terms every term, and the
-    tail through its anchor, is charged the Gamma ratio's bound plus
+    For j <= N, B((a+j)/N, b/N) comes from :func:`gamma_ratio` with its
+    relative bound; each later j steps the Beta at j - N by the exact
+    recurrence B(m+1, n) = B(m, n) m/(m+n), where m/(m+n) is the ratio of
+    ints (a+j-N)/(a+b+j-N), rounded once.  The ratio, the product and the
+    final division by j N round once each, so with K terms every term, and
+    the tail through its anchor, is charged the Gamma ratio's bound plus
     2 eps (K//N + 2), on the summed value.  ``err`` adds that charge, the
     sums' rounding and the tail's ``model_err``.
 
     So ``err`` is U-shaped in K: the tail's ``model_err`` falls with K,
     but the charge per term grows with it.  K runs through the
     checkpoints 1024 * 2^m up to 32768, all on :func:`hyp3f2_unit`'s grid
-    of tails, and each checkpoint continues every class's recurrence where
-    the last one stopped, so the first K terms have the same bits whatever
-    checkpoint the search reaches.  The search stops at the first
-    checkpoint whose err is not below the previous one's and returns the
-    smallest-err result; ``effort`` counts every term built.  If that err
-    exceeds cfg.tol, :class:`BudgetExceededError` names the label, the err
-    and its K, and carries that result.
+    of tails, and each checkpoint extends one list of terms, so the first
+    K terms have the same bits whatever checkpoint the search reaches.
+    The search stops at the first checkpoint whose err is not below the
+    previous one's and returns the smallest-err result; ``effort`` counts
+    every term built.  If that err exceeds cfg.tol,
+    :class:`BudgetExceededError` names the label, the err and its K, and
+    carries that result.
     """
     _, a_r, b_r = FormIndex(N, a, b)
     # the tail expands in 1/x, x = j/N, from the shifts a/N, 0 over
@@ -253,27 +250,18 @@ def oracle_series_sum(a: int, b: int, N: int,
         raise DomainError(f"series oracle ({a_r}, {b_r}; {N}) needs a first tail past "
                           f"its {_SERIES_CHECKPOINTS[-1]}-term budget")
     terms = []
-    last = {}  # residue class r -> B((a+j)/N, b/N) at the class's last j built
+    beta = [0.0] * N  # B((a+j)/N, b/N) at the last j built in class j mod N
     beta_rel = 0.0
     best = None
     for K in checkpoints:
-        built = len(terms)
-        terms += [0.0] * (K - built)
-        for r in range(1, min(N, K) + 1):
-            if r <= built:  # restart at the class's last term; it gets the same bits
-                j = r + (built - r) // N * N
-                beta_j = last[r]
-            else:
-                j = r
-                beta_j, rel0 = gamma_ratio(((a_r + r) / N, b_r / N),
-                                           ((a_r + b_r + r) / N,))
+        for j in range(len(terms) + 1, K + 1):
+            if j <= N:
+                beta[j % N], rel0 = gamma_ratio(((a_r + j) / N, b_r / N),
+                                                ((a_r + b_r + j) / N,))
                 beta_rel = max(beta_rel, rel0)
-            # B at j + N from B at j, up to K
-            steps = map(truediv, range(a_r + j, a_r + K - N + 1, N),
-                        range(a_r + b_r + j, a_r + b_r + K - N + 1, N))
-            betas = list(accumulate(steps, mul, initial=beta_j))
-            last[r] = betas[-1]
-            terms[j - 1::N] = map(truediv, betas, range(j * N, K * N + 1, N * N))
+            else:  # B at j from B at j - N
+                beta[j % N] *= (a_r + j - N) / (a_r + b_r + j - N)
+            terms.append(beta[j % N] / (j * N))
         rel = beta_rel + 2.0 * _EPS * (K // N + 2)
         tail, model_err = algebraic_tail_sum(terms[K - 1], K, (a_r, 0), (a_r + b_r, N), N, N)
         value = math.fsum(terms) + tail
@@ -291,45 +279,20 @@ def oracle_series_sum(a: int, b: int, N: int,
     return result
 
 
-def _roots(N: int) -> list[complex]:
-    """The N-th roots of unity z^k = exp(2 pi i k / N), k = 0, ..., N-1."""
-    return [cmath.exp(complex(0.0, 2.0 * math.pi * k / N)) for k in range(N)]
-
-
-def _projector_average(qs: list[EvalResult], a: int, b: int,
-                       c: int, d: int, N: int, norm: float) -> EvalResult:
-    """The (c, d) component of the (a, b)-twisted kernel integrals K_r.
-
-    K_r is the quadrature ``qs[r]`` over N.  The translates
-    J(r, s) = z^(a r + b s) K_r, projected onto (c, d), give the O(N^2) sum
-    over r, s in Z/N of z^((a-c) r + (b-d) s) K_r, divided by ``norm``.
-    Averaging out J's translate means first would change nothing: each mean
-    carries a factor sum_r z^(-c r) or sum_s z^(-d s), which is 0 because
-    c, d are nonzero mod N for every holomorphic label.  ``effort`` is the
-    nodes of all N quadratures.
-    """
-    z = _roots(N)
-    K = [q.value / N for q in qs]
-    K_err = max(q.err for q in qs) / N
-    total = complex(0.0, 0.0)
-    for r in range(N):
-        for s in range(N):
-            total += z[((a - c) * r + (b - d) * s) % N] * K[r]
-    value = total / norm
-    err = 4.0 * K_err * N * N / abs(norm)
-    return EvalResult(value, err + 16.0 * _EPS * (1.0 + abs(value)),
-                      sum(q.effort for q in qs))
-
-
 def oracle_projector_integral(a: int, b: int, c: int, d: int, N: int,
                               cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Brute-force projection of the twisted log-kernel integrals.
 
     Computes the N integrals
-        K_r = (1/N) * int_0^1 Log(1 - z^r t^(1/N)) t^(a/N - 1) (1-t)^(b/N - 1) dt
-    by quadrature (no series acceleration anywhere), then projects their
-    (a, b)-twisted translates onto the (c, d) component, normalized by N^2
-    times the (a, b) period.  Matches the script-F closed form
+        K_r = (1/N) * int_0^1 Log(1 - z^r t^(1/N)) t^(a/N - 1) (1-t)^(b/N - 1) dt,
+    z = exp(2 pi i/N), by quadrature (no series acceleration anywhere).
+    Their (a, b)-twisted translates J(r, s) = z^(a r + b s) K_r, projected
+    onto the (c, d) component, give the O(N^2) sum over r, s in Z/N of
+    z^((a-c) r + (b-d) s) K_r, normalized by N^2 times the (a, b) period.
+    Averaging out J's translate means first would change nothing: each mean
+    carries a factor sum_r z^(-c r) or sum_s z^(-d s), which is 0 because
+    c, d are nonzero mod N for every holomorphic label.  Matches the
+    script-F closed form
 
         result = -[b==d] * F(a, <c-a>, b)
 
@@ -337,8 +300,10 @@ def oracle_projector_integral(a: int, b: int, c: int, d: int, N: int,
     the y side of the curve, that reads -[a==c] * F(b, <d-b>, a).  This
     makes it an independent check on the closed forms, of the
     normalization and the projection too: a wrong one misses the closed
-    form, or leaves a nonzero value on mismatched labels.  Each integral is asked for the share of cfg.tol that survives
-    the division by the norm.  Returns a complex-valued result.
+    form, or leaves a nonzero value on mismatched labels.  Each integral
+    is asked for the share of cfg.tol that survives the division by the
+    norm.  Returns a complex-valued result; ``effort`` is the nodes of all
+    N quadratures.
     """
     a, b = _holomorphic(a, b, N)
     c, d = _holomorphic(c, d, N)
@@ -353,5 +318,15 @@ def oracle_projector_integral(a: int, b: int, c: int, d: int, N: int,
                 * x ** e1 * xc ** e2
         return lambda x, xc: cmath.log(1.0 - zr * x ** (1.0 / N)) * x ** e1 * xc ** e2
 
-    qs = [de_quadrature(integrand(zr), inner) for zr in _roots(N)]
-    return _projector_average(qs, a, b, c, d, N, norm)
+    z = [cmath.exp(complex(0.0, 2.0 * math.pi * k / N)) for k in range(N)]
+    qs = [de_quadrature(integrand(zr), inner) for zr in z]
+    K = [q.value / N for q in qs]
+    K_err = max(q.err for q in qs) / N
+    total = complex(0.0, 0.0)
+    for r in range(N):
+        for s in range(N):
+            total += z[((a - c) * r + (b - d) * s) % N] * K[r]
+    value = total / norm
+    err = 4.0 * K_err * N * N / abs(norm)
+    return EvalResult(value, err + 16.0 * _EPS * (1.0 + abs(value)),
+                      sum(q.effort for q in qs))

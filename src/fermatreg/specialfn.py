@@ -232,13 +232,6 @@ def _ts_point(u: float) -> tuple[float, float, float]:
     return small, big, w
 
 
-def _call_integrand(f: Callable, x: float, xc: float):
-    fv = f(x, xc)
-    if not cmath.isfinite(fv):  # real or complex
-        raise DomainError(f"integrand not finite at x={x!r}")
-    return fv
-
-
 def de_quadrature(f: Callable, cfg: EvalConfig) -> EvalResult:
     """Integrate f(x, 1 - x) over (0, 1) with the tanh-sinh rule.
 
@@ -270,7 +263,9 @@ def de_quadrature(f: Callable, cfg: EvalConfig) -> EvalResult:
         g_in = 0.0
         for k in range(-first, n + 1, step):
             x, xc, w = _ts_point(k * h)
-            fv = _call_integrand(f, x, xc)
+            fv = f(x, xc)
+            if not cmath.isfinite(fv):  # real or complex
+                raise DomainError(f"integrand not finite at x={x!r}")
             term = w * fv
             add = add + term
             ak = abs(k)
@@ -520,8 +515,10 @@ def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     :class:`BudgetExceededError` is raised, carrying the result with the
     smallest ``err`` and an ``effort`` that counts every term summed.  It
     is raised after the last checkpoint, or as soon as ``err`` has stopped
-    falling and a floor that no later checkpoint's ``err`` can go below,
-    the drift and sum rounding so far, passes ``cfg.tol``.
+    falling and a floor that no later checkpoint's ``err`` can go below
+    passes ``cfg.tol``: the drift and sum rounding so far, plus
+    ``eps K max(0, |tail| - model_err)`` for the true tail's drift, which
+    every later checkpoint charges again through its terms and its anchor.
     """
     if 0 in (p.a1, p.a2, p.a3):
         return EvalResult(1.0, 0.0, 1)
@@ -581,10 +578,14 @@ def _sum_series(ups: list[int], b1: int, b2: int, D: int, cfg: EvalConfig) -> Ev
         result = EvalResult(1.0 + math.fsum(block_sums) + tail, err, count)
         if result.err <= cfg.tol:
             return result
-        # drift and abs_sum never fall, so once this floor passes tol no
-        # later checkpoint can certify, and only a falling err earns more
-        # terms
-        floor = 2.0 * _EPS * drift + 4.0 * _EPS * abs_sum
+        # drift and abs_sum never fall, and past K every term keeps t_K's
+        # sign (K D >= 8 |parameter|), so a later checkpoint's drift on the
+        # terms past K plus its anchor charge is about 2 eps K times the
+        # true tail, at least |tail| - model_err: once this floor passes
+        # tol no later checkpoint can certify, and only a falling err earns
+        # more terms
+        floor = 2.0 * _EPS * drift + 4.0 * _EPS * abs_sum \
+            + _EPS * K * max(0.0, abs(tail) - model_err)
         if best is None or result.err < best.err:
             best = result
         elif floor > cfg.tol:

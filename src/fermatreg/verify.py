@@ -52,14 +52,6 @@ def _special_checks() -> list[CheckResult]:
 
     worst = 0.0
     for _ in range(60):
-        m = math.exp(rng.uniform(math.log(0.02), math.log(25.0)))
-        n = math.exp(rng.uniform(math.log(0.02), math.log(25.0)))
-        d = abs(specialfn.beta(m, n) - specialfn.beta(n, m)) / specialfn.beta(m, n)
-        worst = max(worst, d)
-    out.append(_check("beta symmetry (relative)", worst, 1e-13))
-
-    worst = 0.0
-    for _ in range(60):
         m = math.exp(rng.uniform(math.log(0.05), math.log(10.0)))
         n = math.exp(rng.uniform(math.log(0.05), math.log(10.0)))
         lhs = specialfn.beta(m, n)
@@ -92,20 +84,6 @@ def _special_checks() -> list[CheckResult]:
         r = specialfn.hyp3f2_unit(regulator._script_F_params(*key))
         worst = max(worst, float(abs(Fraction(r.value) - Fraction(ref)) - Fraction(r.err)))
     out.append(_check("3F2 err honored against 30-digit references",
-                      max(worst, 0.0), 0.0))
-
-    worst = 0.0
-    for _ in range(10):
-        N = rng.choice((7, 13, 19, 23))
-        a = rng.randrange(1, N - 1)
-        b = rng.randrange(1, N - a)
-        j = rng.randrange(1, N + 1)
-        p = regulator._script_F_params(a, j, b, N)
-        loose = specialfn.hyp3f2_unit(p, EvalConfig(tol=1e-6))
-        tight = specialfn.hyp3f2_unit(p, EvalConfig(tol=1e-7))
-        excessd = abs(loose.value - tight.value) - (loose.err + tight.err)
-        worst = max(worst, excessd)
-    out.append(_check("certified err honored against 10x tighter recomputation",
                       max(worst, 0.0), 0.0))
 
     q = specialfn.de_quadrature(lambda x, xc: x ** (-0.5) * xc ** (-0.5), EvalConfig())
@@ -155,26 +133,19 @@ def _fermat_checks() -> list[CheckResult]:
     out.append(_check("genus equals count of holomorphic eigenform labels",
                       0.0 if ok else 1.0, 0.0))
 
-    # one pass per modulus over 12 854 labels in all, with _root_product at
-    # 2N over 4 written out and the maxima kept by comparison, not max() calls
+    # 12 854 labels in all
     worst_re = 0.0
     worst_im = 0.0
-    mu_half = fermat.mu_half
     for N in (3, 4, 5, 7, 11, 23, 50, 101):
         w = _one_minus_roots(2 * N)
         for a in range(1, N):
-            wa = w[a]
             for b in range(1, N):
                 if a + b == N:
                     continue
-                p = N * N * (wa * w[b]) / w[a + b]
-                m = mu_half(a, b, N)
-                d_re = abs(m.real - p.real) / abs(p)
-                d_im = abs(m.imag - p.imag) / abs(p.imag)
-                if d_re > worst_re:
-                    worst_re = d_re
-                if d_im > worst_im:
-                    worst_im = d_im
+                p = _root_product(w, a, b) / 4
+                m = fermat.mu_half(a, b, N)
+                worst_re = max(worst_re, abs(m.real - p.real) / abs(p))
+                worst_im = max(worst_im, abs(m.imag - p.imag) / abs(p.imag))
     out.append(_check("Re mu_half matches the doubled-modulus root product's real part "
                       "(relative to |mu_half|)", worst_re, 1e-10))
     out.append(_check("Im mu_half matches the doubled-modulus root product over 4 (relative)",

@@ -43,10 +43,15 @@ SCRIPT_F_3F2_REFS = {
 
 
 # excess 1/9973.  Its err is smallest at the first checkpoint, ~9.1e-15,
-# and then grows with the rounding charged on its slowly decaying tail; at
-# tol 2e-15 it runs until the rounding floor of the terms summed passes tol
+# and then grows with the rounding charged on its slowly decaying tail
 SLOW_3F2 = Hyp3F2Params(Fr(1, 9973), Fr(1, 9973), Fr(1, 9973), Fr(2, 9973), Fr(2, 9973))
 SLOW_TOL = EvalConfig(tol=2e-15)
+
+# excess 1/2 and a first checkpoint at 32 768 terms.  At tol 1e-12 its err
+# is smallest at 65 536 terms, 2.6e-11, and it runs until the rounding of
+# the 131 073 terms summed passes tol
+LONG_3F2 = Hyp3F2Params(3000, 1, 1, 2, Fr(6001, 2))
+LONG_TOL = EvalConfig(tol=1e-12)
 
 
 def script_f_params(a, j, b, N):
@@ -241,14 +246,12 @@ class TestHyp3F2:
             want = gauss_2f1_unit(float(a), float(b), float(c))
             assert abs(r.value - want) <= 1e-10
 
-    def test_degenerate_gauss_sets_lie_within_err(self, monkeypatch):
+    def test_degenerate_gauss_sets_lie_within_err(self):
         # 3F2(a, b, x; a+b+e, x; 1) = G(c) G(e) / (G(c-a) G(c-b)), c = a+b+e,
         # at excess e down to 1/(10^6+3), where the tail is ~1/e of the
         # value.  x is a negative non-integer; its factors cancel exactly in
-        # each int term ratio.  The budget is cut so that a failure stops
-        # early: every certified result here certifies at 64 terms
+        # each int term ratio
         mpmath = pytest.importorskip("mpmath")
-        shrink_budget(monkeypatch, 4096)
         ups = [Fr(1, 3), Fr(1, 2), Fr(3, 4), Fr(-2, 5), Fr(7, 3)]
         pairs = [(a, b) for i, a in enumerate(ups) for b in ups[i:]]
         xs = [Fr(-1, 2), Fr(-7, 3), Fr(-40, 9)]
@@ -298,17 +301,16 @@ class TestHyp3F2:
                     assert r.err <= tol
 
     def test_err_honored_against_tighter_run(self):
-        rng = random.Random(99)
-        for _ in range(8):
-            N = rng.choice((7, 13, 19, 23))
-            a = rng.randrange(1, N - 1)
-            b = rng.randrange(1, N - a)
-            j = rng.randrange(1, N + 1)
-            p = Hyp3F2Params(Fr(a + j, N), Fr(j, N), 1,
-                             Fr(a + b + j, N), Fr(j, N) + 1)
-            loose = hyp3f2_unit(p, EvalConfig(tol=1e-6))
-            tight = hyp3f2_unit(p, EvalConfig(tol=1e-7))
-            assert abs(loose.value - tight.value) <= loose.err + tight.err
+        # 3F2(m, 1, 1; 2, m + 3/2; 1) certifies 1e-8 at an earlier checkpoint
+        # than 1e-12, from 129 against 257 terms up to 4097 against 16 385,
+        # so the runs are different sums: they lie 0.45 of their errs'
+        # sum apart
+        for m in (10, 20, 30, 60, 100, 150, 250, 400):
+            p = Hyp3F2Params(m, 1, 1, 2, m + Fr(3, 2))
+            loose = hyp3f2_unit(p, EvalConfig(tol=1e-8))
+            tight = hyp3f2_unit(p, EvalConfig(tol=1e-12))
+            assert loose.effort < tight.effort, m
+            assert abs(loose.value - tight.value) <= loose.err + tight.err, m
 
     def test_budget_exceeded_carries_best(self):
         p = Hyp3F2Params(Fr(3, 13), Fr(1, 13), 1, Fr(4, 13), Fr(14, 13))
@@ -319,16 +321,33 @@ class TestHyp3F2:
         assert abs(best.value - 1.766233869657059933008) <= best.err
 
     def test_budget_failure_reports_terms_summed(self, monkeypatch):
-        # the best err is the 64-term checkpoint's, but the effort is all
-        # 131 073 terms (k = 0..131 072) summed until the rounding floor
-        # passed tol
+        # the best err is the 65 536-term checkpoint's, but the effort is
+        # all 131 073 terms (k = 0..131 072) summed until the rounding
+        # floor passed tol
         with pytest.raises(BudgetExceededError) as ei:
-            hyp3f2_unit(SLOW_3F2, SLOW_TOL)
+            hyp3f2_unit(LONG_3F2, LONG_TOL)
         assert ei.value.result.effort == 131_073
-        shrink_budget(monkeypatch, 1024)
+        shrink_budget(monkeypatch, 65_536)
         with pytest.raises(BudgetExceededError) as early:
-            hyp3f2_unit(SLOW_3F2, SLOW_TOL)
-        assert early.value.result == (*ei.value.result[:2], 1025)
+            hyp3f2_unit(LONG_3F2, LONG_TOL)
+        assert early.value.result == (*ei.value.result[:2], 65_537)
+
+    @pytest.mark.parametrize("p, cfg", [
+        (Hyp3F2Params("1/3", "-2/5", "-1/2", "-999988/15000045", "-1/2"), CFG),
+        (SLOW_3F2, SLOW_TOL)], ids=["value-1.6e6", "excess-1/9973"])
+    def test_failing_series_stops_when_its_anchor_drift_passes_tol(self, monkeypatch,
+                                                                    p, cfg):
+        # the best err is the 64-term checkpoint's.  The drift charged on the
+        # tail through its anchor, 2 eps K |tail|, grows about linearly in K,
+        # so a floor that counts it passes tol at the next checkpoint, and
+        # the series stops after 129 terms, not 524 289 or 131 073
+        with pytest.raises(BudgetExceededError, match="series' rounding") as ei:
+            hyp3f2_unit(p, cfg)
+        assert ei.value.result.effort == 129
+        shrink_budget(monkeypatch, 64)
+        with pytest.raises(BudgetExceededError) as first:
+            hyp3f2_unit(p, cfg)
+        assert ei.value.result == (*first.value.result[:2], 129)
 
     def test_budget_failure_memory_stays_flat(self, monkeypatch):
         # the series keeps only its last term and the sums of its blocks;
@@ -339,7 +358,7 @@ class TestHyp3F2:
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError):
-                hyp3f2_unit(SLOW_3F2, SLOW_TOL)
+                hyp3f2_unit(LONG_3F2, LONG_TOL)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -26,11 +26,11 @@ def test_regulator_suite_computes_each_pairing_once(monkeypatch):
 
 
 def test_special_suite_computes_each_reference_set_once(monkeypatch):
-    # Basel, the zero upper parameter, 20 Gauss draws, the six reference
-    # sets and 10 pairs of tolerances
+    # Basel, the zero upper parameter, 20 Gauss draws and the six
+    # reference sets
     calls = _counted(monkeypatch, specialfn, "hyp3f2_unit")
     assert all(r.passed for r in verify._special_checks())
-    assert calls[0] == 48
+    assert calls[0] == 28
 
 
 def test_fermat_suite_builds_each_label_once(monkeypatch):
