@@ -355,9 +355,11 @@ def _hurwitz_zeta(e: float, a: float, scale: float = 1.0) -> float:
 # Stirling's series (DLMF 5.11.8): for each shift h, as z -> infinity,
 #     log Gamma(z + h) = (z + h - 1/2) log z - z + log(2 pi) / 2
 #                        + sum_{n>=1} (-1)^(n+1) B_(n+1)(h) / (n (n+1) z^n),
-# where B_m(h) = sum_k C(m, k) B_k h^(m-k).  Row n holds that polynomial's
-# coefficients times 210 (-1)^(n+1), highest power first: 210 is the lcm of
-# the denominators of B_0 .. B_9 (B_1 = -1/2), so every entry is an int
+# where B_m(h) = sum_k C(m, k) B_k h^(m-k) (DLMF 24.2.5).  Row n holds that
+# polynomial's coefficients times 210 (-1)^(n+1), highest power first: 210 is
+# the lcm of the denominators of B_0 .. B_9 (B_1 = -1/2), so every entry is an
+# int.  Over shifts h = m/den, entry k multiplies den^k P_(n+1-k), where P_q
+# is the up shifts' sum of m^q less the down shifts'
 _TAIL_ORDERS = 8  # orders z^-p, p < 8, close the tail; order 8 sizes model_err
 _BERNOULLI_210 = (210, -105, 35, 0, -7, 0, 5, 0, -7, 0)
 _STIRLING = tuple(tuple((-1) ** (n + 1) * math.comb(n + 1, k) * _BERNOULLI_210[k]
@@ -376,8 +378,9 @@ def algebraic_tail_sum(t_top: float, k_top: int, ups: Sequence[int], downs: Sequ
     t_k ~ k^(-1-s).
 
     Nothing is fitted.  Stirling's series of each log Gamma gives the exact
-    expansion t_k = A k^(-1-s) sum_p e_p (unit/k)^p, from the Bernoulli
-    polynomials of the shifts in int arithmetic, rounded once per order.
+    expansion t_k = A k^(-1-s) sum_p e_p (unit/k)^p.  Its log-coefficient
+    of order n is one int dot product of _STIRLING's row n with
+    den^k P_(n+1-k), P_q the ups' sum of m^q less the downs', rounded once.
     A is anchored on t_top, and the orders p < 8 are summed from k_top + 1
     with Hurwitz zetas.  The expansion is in shift / z, so z = k_top / unit
     should be at least 8 times the largest shift in size.  Returns (tail,
@@ -390,19 +393,13 @@ def algebraic_tail_sum(t_top: float, k_top: int, ups: Sequence[int], downs: Sequ
     sum B built from the log-coefficients alone: it returns B/2, with
     model_err B/2 and its rounding, or inf where B is not finite.
     """
-    s = (sum(downs) - sum(ups) - den) / den
-    powers = [den ** k for k in range(_TAIL_ORDERS + 2)]
+    P = [sum(m ** q for m in ups) - sum(m ** q for m in downs) for q in range(_TAIL_ORDERS + 2)]
+    s = (-P[1] - den) / den
     c = []  # c_n (unit/k_top)^n: the log expansion of t_k / (A k^(-1-s)) at k_top
-    for n, poly in enumerate(_STIRLING, 1):
-        scaled = list(map(mul, poly, powers))  # Horner in m for den^(n+1) B_(n+1)(m/den)
-        total = 0
-        for sign, shifts in ((1, ups), (-1, downs)):
-            for m in shifts:
-                b = 0
-                for coef in scaled:
-                    b = b * m + coef
-                total += sign * b
-        c.append(total * unit ** n / (210 * n * (n + 1) * powers[n + 1] * k_top ** n))
+    for n, row in enumerate(_STIRLING, 1):
+        # 210 (-1)^(n+1) den^(n+1) (sum B_(n+1)(up/den) - sum B_(n+1)(down/den))
+        total = sum(coef * den ** k * P[n + 1 - k] for k, coef in enumerate(row))
+        c.append(total * unit ** n / (210 * n * (n + 1) * den ** (n + 1) * k_top ** n))
     if abs(c[0]) > 0.5:
         # with x = k_top/k < 1, t_k / t_top = x^(1+s) exp(sum c_n (x^n - 1)),
         # and |x^n - 1| <= min(1, n (1 - x)) <= min(1, -n log x), so
@@ -435,8 +432,8 @@ def algebraic_tail_sum(t_top: float, k_top: int, ups: Sequence[int], downs: Sequ
 
 # --- 3F2 at unit argument ---------------------------------------------------
 
-_CHECKPOINTS = tuple(64 * 2 ** m for m in range(14))  # tails closed at 64 * 2^m terms
-_TERM_BUDGET = _CHECKPOINTS[-1]  # 524 288 series terms: the last checkpoint
+# tails closed at 64 * 2^m terms; the last, 524 288, is the term budget
+_CHECKPOINTS = tuple(64 * 2 ** m for m in range(14))
 _BLOCK = 256            # terms per fsum block; only the block sums are kept
 
 
@@ -455,29 +452,6 @@ def _short(q: Fraction) -> str:
         e -= 1
     lead = int(x * 10 ** 5 / Fraction(10) ** e)
     return f"{'-' if q < 0 else ''}{lead // 10 ** 5}.{lead % 10 ** 5:05d}e{e:+d}"
-
-
-def _integer_params(p: Hyp3F2Params) -> tuple[list[int], int, int, int]:
-    """The parameters over their least common denominator D.
-
-    Returns (upper numerators, lower numerators b1 and b2, D), after
-    checking in integer arithmetic that the series converges or ends.
-    """
-    fr = (p.a1, p.a2, p.a3, p.b1, p.b2)
-    D = math.lcm(*(q.denominator for q in fr))
-    a1, a2, a3, b1, b2 = (q.numerator * (D // q.denominator) for q in fr)
-    s = b1 + b2 - a1 - a2 - a3
-    if s <= 0 and _last_term([a1, a2, a3], D) is None:
-        raise DomainError(
-            f"excess {_short(Fraction(s, D))} is not positive; the unit-argument series diverges")
-    return [a1, a2, a3], b1, b2, D
-
-
-def _last_term(ups: list[int], D: int) -> int | None:
-    """m when an upper parameter is -m (numerators over D) with m within
-    the term budget, so that the series ends at term m; else None."""
-    ends = [-n // D for n in ups if n <= 0 and n % D == 0]
-    return min(ends) if ends and min(ends) <= _TERM_BUDGET else None
 
 
 def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
@@ -523,27 +497,36 @@ def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     if 0 in (p.a1, p.a2, p.a3):
         return EvalResult(1.0, 0.0, 1)
     try:
-        return _sum_series(*_integer_params(p), cfg)
+        return _sum_series(p, cfg)
     except (OverflowError, ZeroDivisionError) as exc:
         raise DomainError(f"the series leaves the float range ({exc})") from None
 
 
-def _sum_series(ups: list[int], b1: int, b2: int, D: int, cfg: EvalConfig) -> EvalResult:
-    """3F2(ups/D; b1/D, b2/D; 1), with term ratios in ints."""
-    # a series that ends has that end as its one checkpoint, where nothing
-    # is left for a tail to close
-    last = _last_term(ups, D)
+def _sum_series(p: Hyp3F2Params, cfg: EvalConfig) -> EvalResult:
+    """3F2(p; 1), its parameters taken over their least common denominator
+    D so that every term ratio is a ratio of ints."""
+    fr = (p.a1, p.a2, p.a3, p.b1, p.b2)
+    D = math.lcm(*(q.denominator for q in fr))
+    n1, n2, n3, b1, b2 = (q.numerator * (D // q.denominator) for q in fr)
+    ups = (n1, n2, n3)
+    # an upper parameter -m, m within the budget, ends the series at term m:
+    # that end is its one checkpoint, where nothing is left for a tail to close
+    last = min((-n // D for n in ups if n <= 0 and n % D == 0 and -n // D <= _CHECKPOINTS[-1]),
+               default=None)
     if last is not None:
         checkpoints = [last]
     else:
+        s = b1 + b2 - n1 - n2 - n3
+        if s <= 0:
+            raise DomainError(f"excess {_short(Fraction(s, D))} is not positive; "
+                              "the unit-argument series diverges")
         # the tail expands in parameter / k: its first checkpoint waits for
         # k >= 8 |parameter|, and a huge one is refused before it is a float
-        big = max(ups + [b1, b2], key=abs)
+        big = max(ups + (b1, b2), key=abs)
         checkpoints = [K for K in _CHECKPOINTS if 8 * abs(big) <= K * D]
         if not checkpoints:
             raise DomainError(f"series parameter {_short(Fraction(big, D))} needs a first tail "
-                              f"checkpoint past the {_TERM_BUDGET}-term budget")
-    n1, n2, n3 = ups
+                              f"checkpoint past the {_CHECKPOINTS[-1]}-term budget")
 
     block_sums: list[float] = []
     abs_sum = 1.0

@@ -454,11 +454,11 @@ class TestClosedStdout:
     ], ids=["f-table", "hodge", "verify", "hyp3f2"])
     def test_closed_stdout_exits_1_without_traceback(self, argv):
         # the read end is closed before the child writes, so every write fails
-        p = subprocess.Popen([sys.executable, "-m", "fermatreg", *argv],
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        p.stdout.close()
-        err = p.stderr.read()
-        assert p.wait(timeout=300) == 1
+        with subprocess.Popen([sys.executable, "-m", "fermatreg", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as p:
+            p.stdout.close()
+            err = p.stderr.read()
+            assert p.wait(timeout=300) == 1
         assert b"Traceback" not in err
         assert b"Exception ignored" not in err
         assert err.startswith(b"error: ") and err.count(b"\n") == 1, err
@@ -467,13 +467,13 @@ class TestClosedStdout:
         # the default rows of a prime near 1e11 are made one at a time and
         # each is written as soon as it is computed (~50 ms a row), so the
         # table stops at the first write after its reader has gone
-        p = subprocess.Popen([sys.executable, "-m", "fermatreg", "f-table",
-                              "--N", "99999999977"],
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        first = json.loads(p.stdout.readline())
-        p.stdout.close()
-        err = p.stderr.read()
-        assert p.wait(timeout=300) == 1
+        with subprocess.Popen([sys.executable, "-m", "fermatreg", "f-table",
+                               "--N", "99999999977"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as p:
+            first = json.loads(p.stdout.readline())
+            p.stdout.close()
+            err = p.stderr.read()
+            assert p.wait(timeout=300) == 1
         assert first["inputs"] == {"i": 2, "N": 99999999977}
         assert b"Traceback" not in err
         assert err.startswith(b"error: ") and err.count(b"\n") == 1, err

@@ -59,10 +59,9 @@ def script_f_params(a, j, b, N):
 
 
 def shrink_budget(monkeypatch, budget):
-    """Make ``budget`` the series' last checkpoint, as the term budget is."""
+    """Make ``budget`` the series' last checkpoint, and so its term budget."""
     monkeypatch.setattr(specialfn, "_CHECKPOINTS",
                         tuple(K for K in specialfn._CHECKPOINTS if K <= budget))
-    monkeypatch.setattr(specialfn, "_TERM_BUDGET", budget)
 
 
 def eval_or_best(p, cfg):
@@ -641,6 +640,40 @@ class TestTailModel:
                 rest -= t
             tail, model_err = algebraic_tail_sum(float(t), K, (120, 120), (c_num, 2), 2)
             assert abs(Fr(tail) - Fr(mpmath.nstr(rest, 50))) <= Fr(model_err), c_num
+
+    @pytest.mark.parametrize("args, want", [
+        # the script-F term (a, j, b; N) = (4, 11, 1; 13) at its first checkpoint
+        ((3.1e-4, 64, (15, 11, 13), (16, 24, 13), 13),
+         "(0.2611312842595135, 1.4668719350689294e-15)"),
+        # Gauss's 3F2(20, 20, 1/3; 81/2, 1/3): c_1 is -0.82, so the tail is bounded
+        ((2.7e-2, 512, (120, 120, 2), (243, 2, 6), 6),
+         "(32.418585269888496, 32.41858526988872)"),
+        # the series oracle's form at (a, b; N) = (1, 2; 13), unit N
+        ((5.9e-8, 1024, (1, 0), (3, 13), 13, 13),
+         "(0.0003924443056724258, 1.394435323271026e-18)"),
+        # 3F2(1/3, 1/3, -1/2; 199985/299973, -1/2): negative shifts over 599946
+        ((-1.3e-7, 64, (199982, 199982, -299973), (399970, -299973, 599946), 599946),
+         "(-0.8333743859081453, 2.9704062809717808e-15)"),
+        # 3F2(1, 1, 1; 30, 30), excess 57: bounded, on _hurwitz_zeta's head
+        ((4.4e-60, 64, (1, 1, 1), (30, 30, 1), 1),
+         "(2.822695884714992e-60, 2.8226958847150117e-60)"),
+        # 3F2(1, 1, 1; 5, 5), excess 7: expanded, its high orders on the head
+        ((3.0e-11, 40, (1, 1, 1), (5, 5, 1), 1),
+         "(1.6750166155614215e-10, 8.481210848293313e-16)"),
+        ((1 / 65 ** 2, 64, (1, 1), (2, 2), 1),
+         "(0.015266879048806829, 9.595748730791628e-16)"),
+        ((2.2e-3, 1024, (4, 6), (15, 12), 12),
+         "(5.40708269799524, 1.9214144762381545e-14)"),
+        ((1.9e-2, 1024, (120, 120), (241, 2), 2),
+         "(866.9740765391095, 866.9740765391157)"),
+        # neither bound is finite
+        ((1.0e-30, 64, (1, 1, 1), (300, 300, 1), 1), "(0.0, inf)"),
+    ], ids=["script-F", "gauss-bounded", "oracle", "negative-shifts", "excess-57",
+            "excess-7", "basel", "gauss-sum", "gauss-60", "no-bound"])
+    def test_bits_are_frozen(self, args, want):
+        # the log-coefficients are exact ints until one rounding per order,
+        # so however they are formed, the tail and model_err keep their bits
+        assert repr(algebraic_tail_sum(*args)) == want
 
     def test_hurwitz_zeta_against_mpmath(self):
         # the zeta orders 1 + excess + p, p = 0..8, from the first term past
