@@ -197,9 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", dest="N_b", type=int, required=True)
     p.add_argument("--c", dest="N_c", type=int, default=None)
     p.add_argument("--d", dest="N_d", type=int, default=None)
-    p.add_argument("--tol", type=float, default=EvalConfig().tol,
-                   help="absolute tolerance (default 1e-8); each script-F term is "
-                        "asked for tol/4, so it does not yet bound the pairing's err")
+    _add_cfg_flags(p)
     p.set_defaults(func=_cmd_reg)
 
     p = sub.add_parser("f-table", help="indecomposability statistics f(i, N), "

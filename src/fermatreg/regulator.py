@@ -65,6 +65,33 @@ def _script_F_params(a: int, j: int, b: int, N: int) -> Hyp3F2Params:
                         Fraction(a + b + j, N), Fraction(j, N) + 1)
 
 
+def _held(tol: float, terms: list, combine, prefix: str = "") -> EvalResult:
+    """combine(results) for a layer's value sum c_i v_i, held to ``tol``.
+
+    ``terms`` lists (weight, call): |c_i| with its relative error folded in,
+    and the call that evaluates v_i at an EvalConfig.  Each call is asked
+    for tol / (2 sum weight); a BudgetExceededError gives the result it
+    carries.  A combined err above tol raises one with the combined result,
+    ``prefix`` and the first failing call's message, or else the err left
+    over from sum weight * err_i: the layer's own rounding.
+    """
+    share = EvalConfig(tol / (2.0 * math.fsum(w for w, _ in terms)))
+    results, failure = [], None
+    for _, call in terms:
+        try:
+            results.append(call(share))
+        except BudgetExceededError as exc:
+            results.append(exc.result)
+            failure = failure or str(exc)
+    res = combine(results)
+    if res.err <= tol:
+        return res
+    if failure is None:
+        own = res.err - math.fsum(w * r.err for (w, _), r in zip(terms, results))
+        failure = f"tolerance {tol:g} lies below the weighting's own rounding ({own:.3g})"
+    raise BudgetExceededError(prefix + failure, res)
+
+
 def script_F(a: int, j: int, b: int, N: int,
              cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """The positive script-F building block; see the module docstring.
@@ -72,10 +99,10 @@ def script_F(a: int, j: int, b: int, N: int,
     Requires (a, b) in the index set and j >= 1.  Always convergent: the
     series excess is b/N regardless of j, and :func:`hyp3f2_unit` sums it
     directly, closing its slowly decaying tail from the term's exact
-    large-k expansion.  ``err`` includes the
-    rounding of the Gamma-ratio prefactor (see :func:`gamma_ratio`).  A
-    :class:`BudgetExceededError` names the term and carries the best
-    script-F value, the prefactor applied to the series' best result.
+    large-k expansion.  ``err`` includes the rounding of the Gamma-ratio
+    prefactor (see :func:`gamma_ratio`) and stays at or below cfg.tol (see
+    :func:`_held`).  A :class:`BudgetExceededError` names the term and
+    carries the best script-F value, the prefactor times the series' best.
     """
     _, a_r, b_r = FormIndex(N, a, b)
     if j < 1:
@@ -85,40 +112,43 @@ def script_F(a: int, j: int, b: int, N: int,
     ratio, rel = gamma_ratio(((a_r + j) / N, (a_r + b_r) / N),
                              ((a_r + b_r + j) / N, a_r / N))
     rel += 2.0 * _EPS
-    try:
-        hyp = hyp3f2_unit(_script_F_params(a_r, j, b_r, N), cfg)
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(
-            f"script-F term ({a_r}, {j}, {b_r}; {N}): {exc}",
-            _scaled(exc.result, ratio / j, rel)) from None
-    return _scaled(hyp, ratio / j, rel)
+    params = _script_F_params(a_r, j, b_r, N)
+    return _held(cfg.tol, [(ratio / j * (1.0 + rel), lambda t: hyp3f2_unit(params, t))],
+                 lambda rs: _scaled(rs[0], ratio / j, rel),
+                 f"script-F term ({a_r}, {j}, {b_r}; {N}): ")
 
 
 def _weighted_sum(terms: list[tuple[float, int, int, int]], N: int,
                   cfg: EvalConfig) -> EvalResult:
     """sum c * F(a, j, b; N) over the ``terms`` (c, a, j, b), c a float.
 
-    Each distinct (a, j, b) is evaluated once, certified to cfg.tol / 4,
-    however many terms name it, and ``effort`` adds up the work of those
-    evaluations alone.  The sum of the products is a correctly rounded
-    ``math.fsum``, so a term list that negates under a swap of labels gives
-    a value that negates bit for bit, and a list whose terms cancel in
-    pairs gives exactly 0.0.  ``err`` is sum |c| err_F over the terms plus
+    Each distinct (a, j, b) is one term of :func:`_held`, evaluated once
+    with the sum of |c| over the terms that name it as its weight, and
+    ``effort`` adds up the work of those evaluations alone.  The sum of
+    the products is a correctly rounded ``math.fsum``, so a term list that
+    negates under a swap of labels gives a value that negates bit for bit,
+    a list whose terms cancel in pairs gives exactly 0.0, and an empty list
+    gives exact 0 with err 0.  ``err`` is sum |c| err_F over the terms plus
     32 eps sum |c F|, which covers the rounding of the products, of the sum
     and of a computed c (``mu_half``'s imaginary part errs by at most
-    3.3 eps for every label with N <= 200, measured against mpmath).  A
-    budget failure passes on the failing term's error.
+    3.3 eps for every label with N <= 200, measured against mpmath).
     """
-    inner = EvalConfig(cfg.tol / 4.0)
-    fs = {}
-    for (_, a, j, b) in terms:
-        if (a, j, b) not in fs:
-            fs[a, j, b] = script_F(a, j, b, N, inner)
-    cfs = [(c, fs[a, j, b]) for (c, a, j, b) in terms]
-    products = [c * f.value for c, f in cfs]
-    err = math.fsum(abs(c) * f.err for c, f in cfs) \
-        + 32.0 * _EPS * math.fsum(map(abs, products))
-    return EvalResult(math.fsum(products), err, sum(f.effort for f in fs.values()))
+    if not terms:
+        return EvalResult(0.0, 0.0, 0)
+    weights = {}
+    for (c, a, j, b) in terms:
+        weights[a, j, b] = weights.get((a, j, b), 0.0) + abs(c)
+
+    def combine(results: list[EvalResult]) -> EvalResult:
+        fs = dict(zip(weights, results))
+        cfs = [(c, fs[a, j, b]) for (c, a, j, b) in terms]
+        products = [c * f.value for c, f in cfs]
+        err = math.fsum(abs(c) * f.err for c, f in cfs) \
+            + 32.0 * _EPS * math.fsum(map(abs, products))
+        return EvalResult(math.fsum(products), err, sum(f.effort for f in results))
+
+    return _held(cfg.tol, [(w, lambda t, k=k: script_F(*k, N, t)) for k, w in weights.items()],
+                 combine)
 
 
 def log_integral(a: int, b: int, N: int, cfg: EvalConfig = EvalConfig()) -> EvalResult:
@@ -128,13 +158,15 @@ def log_integral(a: int, b: int, N: int, cfg: EvalConfig = EvalConfig()) -> Eval
     same integral on the swapped label, log_integral(b, a, N).  Always
     negative: it integrates log of a quantity below 1 against a positive
     weight.  ``err`` includes the rounding of the Beta prefactor (see
-    :func:`gamma_ratio`).
+    :func:`gamma_ratio`) and stays at or below cfg.tol (see :func:`_held`).
     """
     a, b = _holomorphic(a, b, N)
-    total = _weighted_sum([(1.0, a, j, b) for j in range(1, N + 1)], N, cfg)
     # the division by N and the product with the sum round once each
     B, rel = gamma_ratio((a / N, b / N), ((a + b) / N,))
-    return _scaled(total, -B / N, rel + 2.0 * _EPS)
+    rel += 2.0 * _EPS
+    terms = [(1.0, a, j, b) for j in range(1, N + 1)]
+    return _held(cfg.tol, [(B / N * (1.0 + rel), lambda t: _weighted_sum(terms, N, t))],
+                 lambda rs: _scaled(rs[0], -B / N, rel))
 
 
 def reg_holomorphic(a: int, b: int, N: int,
@@ -143,7 +175,7 @@ def reg_holomorphic(a: int, b: int, N: int,
 
     Closed form 2 * sum_{j=1}^{N} (F(b,j,a) - F(a,j,b)).  Antisymmetric under
     swapping a and b and zero on the diagonal, exactly, in floating point.
-    The certified err stays at or below 2*N*cfg.tol.  ``effort`` is the work
+    The certified err stays at or below cfg.tol.  ``effort`` is the work
     of the distinct script-F terms evaluated: 2N of them, and N on the
     diagonal, where the two sums name the same terms.
     """
@@ -190,17 +222,14 @@ def f_indec(i: int, N: int, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     f(i, N) = im_reg_mixed(1, i, 1, 2i, N) / (2 N^2).  A nonzero value
     certifies an indecomposable cycle when the wedge ((1, i), (1, 2i)) is
     not a Hodge class, which :func:`fermatreg.fermat.is_hodge` tests.  The
-    certified err stays below cfg.tol.
+    certified err stays at or below cfg.tol (see :func:`_held`).
     """
     if not is_prime(N):
         raise DomainError(f"f(i, N) is defined for prime N, got {N}")
-    # the pairing's err is at most (|mu_half(1,i)| + |mu_half(1,2i)|) * tol / 2
-    # (two script-F terms at tol/4, each prefactor below 1), and
-    # |mu_half(1, b, N)| < pi N, so after dividing by 2 N^2 the err stays
-    # below (pi/4) cfg.tol when the pairing is asked for N * cfg.tol / 2
-    rv = im_reg_mixed(1, i, 1, 2 * i, N, EvalConfig(N * cfg.tol / 2.0))
     scale = 2.0 * N * N
-    return EvalResult(rv.value / scale, rv.err / scale + _EPS, rv.effort)
+    return _held(cfg.tol, [(1.0 / scale, lambda t: im_reg_mixed(1, i, 1, 2 * i, N, t))],
+                 lambda rs: EvalResult(rs[0].value / scale, rs[0].err / scale + _EPS,
+                                       rs[0].effort))
 
 
 # --- oracles ----------------------------------------------------------------

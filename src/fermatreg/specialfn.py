@@ -6,7 +6,8 @@ for integrands with endpoint singularities.
 The 3F2 evaluator sums the series as given in a plain Python loop and
 closes the algebraic tail from the term's exact large-k expansion, summed
 with Hurwitz zetas (the accelerated series).
-Parameters are carried as exact rationals; floats appear only inside kernels.
+3F2 parameters are carried as exact rationals, and each term ratio is one
+correctly rounded quotient of ints.
 The module needs nothing beyond the standard library.  All operations are
 pure, stateless and thread-safe.  Summation order is fixed (ascending k) and
 every float sum of a list is a correctly rounded ``math.fsum``, never the

@@ -241,14 +241,14 @@ class TestRegCommand:
                     "--tol", "1e-13")
         assert p.returncode == 1
         assert p.stdout == b""
-        assert p.stderr.startswith(b"numerical failure: script-F term (2, 2, 1; 5)")
+        assert p.stderr.startswith(b"numerical failure: script-F term (2, 1, 1; 5)")
         assert b"lies below the series' rounding" in p.stderr
 
     def test_holo_large_modulus(self):
         p = run_cli("reg", "holo", "--N", "29", "--a", "1", "--b", "2")
         assert p.returncode == 0, p.stderr
         (rec,) = records(p.stdout)
-        assert rec["err"] <= 2 * 29 * 1e-8
+        assert rec["err"] <= 1e-8
 
 
 class TestFTableCommand:
@@ -318,7 +318,7 @@ class TestFTableCommand:
         assert p.stderr == b"error: (1, 12) is not an eigenform index mod 13\n"
 
     def test_budget_failure_names_the_script_f_term(self):
-        args = ("f-table", "--N", "13", "--i", "2", "--tol", "1e-13")
+        args = ("f-table", "--N", "13", "--i", "2", "--tol", "1e-14")
         p = run_cli(*args)
         assert p.returncode == 1
         (rec,) = records(p.stdout)

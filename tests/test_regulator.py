@@ -104,17 +104,27 @@ class TestScriptF:
         with pytest.raises(DomainError):
             script_F(3, 1, 1, 3, CFG)  # a = 0 mod N
 
-    def test_budget_failure_names_the_term(self):
-        cfg = EvalConfig(tol=1e-13)
-        with pytest.raises(BudgetExceededError) as inner:
-            hyp3f2_unit(Hyp3F2Params("15/13", "11/13", 1, "16/13", "24/13"), cfg)
+    def test_budget_failure_names_the_term(self, monkeypatch):
+        # the term asks its series for tol / (2 * prefactor), and fails with
+        # the series' own message at that share
+        shares = []
+
+        def recorded(params, cfg):
+            shares.append(cfg)
+            return hyp3f2_unit(params, cfg)
+
+        monkeypatch.setattr(regulator, "hyp3f2_unit", recorded)
+        a, j, b, N = 4, 11, 1, 13
+        pref = beta((a + j) / N, b / N) / (j * beta(a / N, b / N))
         with pytest.raises(BudgetExceededError) as ei:
-            script_F(17, 11, 1, 13, cfg)
+            script_F(17, 11, 1, 13, EvalConfig(tol=1e-14))
+        (share,) = shares
+        assert share.tol == pytest.approx(1e-14 / (2 * pref), rel=1e-12, abs=0.0)
+        with pytest.raises(BudgetExceededError) as inner:
+            hyp3f2_unit(Hyp3F2Params("15/13", "11/13", 1, "16/13", "24/13"), share)
         assert str(ei.value) == f"script-F term (4, 11, 1; 13): {inner.value}"
         # the attached result is a script-F value: the Beta-ratio prefactor
         # times the series' best result, its err scaled with it
-        a, j, b, N = 4, 11, 1, 13
-        pref = beta((a + j) / N, b / N) / (j * beta(a / N, b / N))
         got, raw = ei.value.result, inner.value.result
         assert abs(got.value - pref * raw.value) <= 1e-14 * abs(got.value)
         assert got.err >= pref * raw.err
@@ -293,9 +303,10 @@ class TestFIndec:
             for i in range(2, N // 4 + 1):
                 assert f_indec(i, N, cfg).err <= cfg.tol, (i, N)
 
-    def test_table_certifies_at_1e_12(self):
+    @pytest.mark.parametrize("tol", [1e-12, 1e-13])
+    def test_table_certifies_at_tight_tol(self, tol):
         # all 228 rows of primes 13-97; the direct series stops near 1e-10
-        cfg = EvalConfig(tol=1e-12)
+        cfg = EvalConfig(tol=tol)
         rows = 0
         for N in (n for n in range(13, 98) if all(n % q for q in range(2, n))):
             for i in range(2, N // 4 + 1):
@@ -544,3 +555,35 @@ class TestPairingSurface:
                     want += (m_cd * F(a, bracket(c - a, N), b, N)
                              - m_ab * F(c, bracket(a - c, N), d, N))
                 check(im_reg_mixed(a, b, c, d, N, cfg), 2 * want, (a, b, c, d, N))
+
+
+class TestTolContract:
+    """Each pairing layer returns err <= tol or raises BudgetExceededError."""
+
+    @staticmethod
+    def calls(N):
+        labels = [(a, b) for a in range(1, N) for b in range(1, N - a)]
+        for a, b in labels:
+            yield script_F, (a, N, b, N)
+            yield log_integral, (a, b, N)
+            if a <= b:  # the swapped label negates the value, err bit for bit
+                yield reg_holomorphic, (a, b, N)
+        # unordered pairs that share one residue: swapping the pairs
+        # negates the value, err bit for bit
+        for k, (a, b) in enumerate(labels):
+            for (c, d) in labels[k + 1:]:
+                if (a == c) != (b == d):
+                    yield im_reg_mixed, (a, b, c, d, N)
+        for i in range(2, N // 4 + 1):
+            yield f_indec, (i, N)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12, 1e-13])
+    def test_err_within_tol_or_budget_error(self, tol):
+        cfg = EvalConfig(tol=tol)
+        for N in (5, 7, 11, 13):
+            for fn, args in self.calls(N):
+                try:
+                    r = fn(*args, cfg)
+                except BudgetExceededError:
+                    continue
+                assert r.err <= tol, (fn.__name__, args)
