@@ -23,7 +23,7 @@ import cmath
 import math
 from fractions import Fraction
 
-from .fermat import FormIndex, bracket, is_prime, mu_half, period
+from .fermat import FormIndex, bracket, is_prime, mu_half
 from .specialfn import (
     BudgetExceededError,
     DomainError,
@@ -326,36 +326,38 @@ def oracle_projector_integral(a: int, b: int, c: int, d: int, N: int,
         result = -[b==d] * F(a, <c-a>, b)
 
     up to the certified error bounds; on the swapped labels (b, a, d, c),
-    the y side of the curve, that reads -[a==c] * F(b, <d-b>, a).  This
-    makes it an independent check on the closed forms, of the
-    normalization and the projection too: a wrong one misses the closed
-    form, or leaves a nonzero value on mismatched labels.  Each integral
-    is asked for the share of cfg.tol that survives the division by the
-    norm.  Returns a complex-valued result; ``effort`` is the nodes of all
-    N quadratures.
+    the y side of the curve, that reads -[a==c] * F(b, <d-b>, a).  A wrong
+    normalization or projection misses the closed form, or leaves a
+    nonzero value on mismatched labels.  Each integral is a term of
+    :func:`_held` of weight 1/|norm|, the most its err moves the value, so
+    ``err`` stays at or below cfg.tol, and a failure names the labels.
+    The result is complex; ``effort`` is the nodes of all N quadratures.
     """
     a, b = _holomorphic(a, b, N)
     c, d = _holomorphic(c, d, N)
-    norm = N * N * period(FormIndex(N, a, b))
-    inner = EvalConfig(max(cfg.tol * abs(norm) / (8.0 * N), 1e-14))
+    # N^2 times the period B(a/N, b/N)/N; N B, 1/norm, the product with it
+    # and the sum it multiplies round once each
+    B, rel = gamma_ratio((a / N, b / N), ((a + b) / N,))
+    norm, rel = N * B, rel + 4.0 * _EPS
     e1 = a / N - 1.0
     e2 = b / N - 1.0
 
     def integrand(zr: complex):
         if zr == 1.0:  # Log(1 - t^(1/N)) is real, and loses digits near t = 1
-            return lambda x, xc: complex(math.log(one_minus_root(x, xc, N)), 0.0) \
-                * x ** e1 * xc ** e2
+            return lambda x, xc: math.log(one_minus_root(x, xc, N)) * x ** e1 * xc ** e2
         return lambda x, xc: cmath.log(1.0 - zr * x ** (1.0 / N)) * x ** e1 * xc ** e2
 
     z = [cmath.exp(complex(0.0, 2.0 * math.pi * k / N)) for k in range(N)]
-    qs = [de_quadrature(integrand(zr), inner) for zr in z]
-    K = [q.value / N for q in qs]
-    K_err = max(q.err for q in qs) / N
-    total = complex(0.0, 0.0)
-    for r in range(N):
-        for s in range(N):
-            total += z[((a - c) * r + (b - d) * s) % N] * K[r]
-    value = total / norm
-    err = 4.0 * K_err * N * N / abs(norm)
-    return EvalResult(value, err + 16.0 * _EPS * (1.0 + abs(value)),
-                      sum(q.effort for q in qs))
+
+    def combine(qs: list[EvalResult]) -> EvalResult:
+        products = [z[((a - c) * r + (b - d) * s) % N] * (qs[r].value / N)
+                    for r in range(N) for s in range(N)]
+        # a root errs by 11 eps: its argument by 3 pi eps, its cos and sin
+        # by an ulp each; with the division by N (eps/2) and the complex
+        # product (sqrt(5) eps/2) each product errs by 13 eps of its size
+        total = complex(math.fsum(p.real for p in products), math.fsum(p.imag for p in products))
+        err = math.fsum(q.err for q in qs) + 13.0 * _EPS * math.fsum(map(abs, products))
+        return _scaled(EvalResult(total, err, sum(q.effort for q in qs)), 1.0 / norm, rel)
+
+    return _held(cfg.tol, [((1.0 + rel) / norm, lambda t, zr=zr: de_quadrature(integrand(zr), t))
+                           for zr in z], combine, f"projector oracle ({a}, {b}; {c}, {d}; {N}): ")

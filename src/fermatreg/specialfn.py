@@ -115,8 +115,7 @@ class Hyp3F2Params(namedtuple("Hyp3F2Params", "a1 a2 a3 b1 b2")):
 
     Each parameter may be an int, a Fraction or a string such as ``"3/13"``
     or ``"1e-5"`` (not a float), and is stored as a Fraction.  Lower
-    parameters must avoid zero and the negative integers (series poles),
-    and must not round to one as floats either (``"1e-400"`` rounds to 0).
+    parameters must avoid zero and the negative integers (series poles).
     Convergence at unit argument additionally requires positive excess
     ``b1+b2-a1-a2-a3`` or an end to the series; :func:`hyp3f2_unit` checks
     that, not this type, so divergent parameter sets remain representable.
@@ -128,10 +127,9 @@ class Hyp3F2Params(namedtuple("Hyp3F2Params", "a1 a2 a3 b1 b2")):
     def __new__(cls, a1, a2, a3, b1, b2):
         self = super().__new__(cls, *map(_as_fraction, (a1, a2, a3, b1, b2)))
         for name in ("b1", "b2"):
-            # floats below -2^53 are all integers, but lie past every term
             n, d = getattr(self, name).as_integer_ratio()
-            if n <= 0 and d == 1 or -d << 53 < 2 * n < d and (n / d) % 1 == 0:
-                raise DomainError(f"{name} is, or rounds to, 0 or a negative integer")
+            if n <= 0 and d == 1:
+                raise DomainError(f"{name} is 0 or a negative integer")
         return self
 
     @property

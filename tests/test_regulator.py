@@ -462,23 +462,23 @@ class TestProjectorOracles:
         # second labels matching in b picks out -F(a, <c-a>, b)
         for (a, b, c, d, N) in ((1, 2, 3, 2, 7), (1, 2, 3, 2, 9), (1, 2, 5, 2, 12)):
             o = oracle_projector_integral(a, b, c, d, N, CFG)
-            want = -script_F(a, bracket(c - a, N), b, N, CFG).value
-            assert abs(o.value.real - want) <= o.err + 1e-8, N
-            assert abs(o.value.imag) <= o.err + 1e-8, N
+            closed = script_F(a, bracket(c - a, N), b, N, CFG)
+            assert abs(o.value.real + closed.value) <= o.err + closed.err, N
+            assert abs(o.value.imag) <= o.err, N
 
     def test_y_variable_against_closed_form(self):
         # the y side of (a, b), (c, d) is the x side of the swapped labels:
         # first labels matching in a picks out -F(b, <d-b>, a)
         for (a, b, c, d, N) in ((1, 2, 1, 1, 5), (1, 3, 1, 5, 9), (5, 2, 5, 4, 12)):
             o = oracle_projector_integral(b, a, d, c, N, CFG)
-            want = -script_F(b, bracket(d - b, N), a, N, CFG).value
-            assert abs(o.value.real - want) <= o.err + 1e-8, N
+            closed = script_F(b, bracket(d - b, N), a, N, CFG)
+            assert abs(o.value.real + closed.value) <= o.err + closed.err, N
 
     def test_miss_gives_zero(self):
         o = oracle_projector_integral(1, 2, 3, 1, 7, CFG)  # d != b
-        assert abs(o.value) <= o.err + 1e-8
+        assert abs(o.value) <= o.err
         o = oracle_projector_integral(2, 1, 1, 3, 7, CFG)  # y side: c != a
-        assert abs(o.value) <= o.err + 1e-8
+        assert abs(o.value) <= o.err
 
 
 class TestPairingSurface:
@@ -587,3 +587,26 @@ class TestTolContract:
                 except BudgetExceededError:
                     continue
                 assert r.err <= tol, (fn.__name__, args)
+
+    # label pairs sharing b (a hit on the x side, a miss on the y side) and
+    # sharing a (the reverse); 9 and 12 are composite moduli
+    PROJECTOR_PAIRS = [((2, 1), (1, 1), 5), ((1, 1), (1, 2), 5),
+                       ((1, 2), (3, 2), 7), ((1, 2), (1, 4), 7),
+                       ((1, 2), (3, 2), 9), ((1, 3), (1, 5), 9),
+                       ((1, 2), (5, 2), 12), ((5, 2), (5, 4), 12)]
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12, 1e-13, 1e-14])
+    def test_projector_oracle_within_tol_or_carries_its_value(self, tol):
+        cfg = EvalConfig(tol=tol)
+        for (a, b), (c, d), N in self.PROJECTOR_PAIRS:
+            # the x side, then the y side: the x side of the swapped labels
+            for args in ((a, b, c, d), (b, a, d, c)):
+                x, y, u, v = args
+                want = script_F(x, bracket(u - x, N), y, N) if y == v else EvalResult(0.0, 0.0, 0)
+                try:
+                    o = oracle_projector_integral(*args, N, cfg)
+                    assert o.err <= tol, (args, N)
+                except BudgetExceededError as exc:
+                    assert str(exc).startswith(f"projector oracle ({x}, {y}; {u}, {v}; {N}): ")
+                    o = exc.result
+                assert abs(o.value + want.value) <= o.err + want.err, (args, N)

@@ -4,8 +4,10 @@ Frozen constants were computed independently with 30+ digit arbitrary
 precision arithmetic and rounded to the printed digits.
 """
 
+import inspect
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction as Fr
 
@@ -169,11 +171,37 @@ class TestParams:
             Hyp3F2Params(0.5, 1, 1, 2, 2)
 
     def test_lower_that_rounds_to_a_pole(self):
-        # as floats these are 0 and -1, and the series would divide by zero
+        # as floats the first three are 0 and -1, but no float of a
+        # parameter is formed: the exact term ratio leaves the float range,
+        # as it does past the subnormal 1e-310
         tiny = Fr(1, 10 ** 400)
-        for b in (tiny, "1e-400", tiny - 1):
-            with pytest.raises(DomainError, match="rounds to"):
-                Hyp3F2Params(1, 1, 1, b, 5)
+        for p in ((1, 1, 1, tiny, 5), (1, 1, 1, "1e-400", 5), (1, 1, 1, tiny - 1, 5),
+                  ("1/2", 1, 1, "1e-310", 4)):
+            with pytest.raises(DomainError, match="^the series leaves the float range"):
+                hyp3f2_unit(Hyp3F2Params(*p), CFG)
+
+    def test_lower_near_a_pole_is_summed(self):
+        # 3F2(-2, 1, 1; -5 + 10^-20, 3; 1) ends at k = 2, and its terms are
+        # exact rationals
+        b1 = Fr(-5) + Fr(1, 10 ** 20)
+        r = hyp3f2_unit(Hyp3F2Params(-2, 1, 1, b1, 3), CFG)
+        exact = 1 + Fr(-2, b1 * 3) + Fr(-2 * -1 * 2 * 2, b1 * (b1 + 1) * 3 * 4 * 2)
+        assert abs(Fr(r.value) - exact) <= Fr(r.err) <= Fr(1, 10 ** 14)
+
+    def test_lower_near_a_pole_against_mpmath(self):
+        # values of size 1e14 to 1e18: an absolute tol of 1e-8 is out of
+        # reach, so each raises, carrying a result within its err
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for b1 in (Fr(-1) - Fr(1, 10 ** 20), Fr(-2) + Fr(1, 10 ** 17),
+                       Fr(-7) - Fr(1, 10 ** 16)):
+                try:
+                    r = hyp3f2_unit(Hyp3F2Params(1, Fr(1, 3), 1, b1, 12), CFG)
+                except BudgetExceededError as exc:
+                    r = exc.result
+                ref = mpmath.hyp3f2(1, mpmath.mpf(1) / 3, 1,
+                                    mpmath.mpf(b1.numerator) / b1.denominator, 12, 1)
+                assert abs(r.value - ref) <= r.err, b1
 
 
 class TestHyp3F2:
@@ -564,6 +592,45 @@ class TestQuadrature:
         assert best.err <= loose.err
         assert abs(best.value - loose.value) <= best.err + loose.err
         assert best.effort == 24781
+
+    @staticmethod
+    def traced(f):
+        """de_quadrature(f, CFG), or the result its failure carries, and the
+        tail allowances, ``trunc = ...`` lines, that ran."""
+        lines, first = inspect.getsourcelines(de_quadrature)
+        allowances = {first + i: text.strip() for i, text in enumerate(lines)
+                      if text.strip().startswith("trunc = ")}
+        ran = set()
+
+        def trace(frame, event, arg):
+            if frame.f_code is not de_quadrature.__code__:
+                return None
+            if event == "line" and frame.f_lineno in allowances:
+                ran.add(allowances[frame.f_lineno])
+            return trace
+
+        old = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            q = de_quadrature(f, CFG)
+        except BudgetExceededError as exc:
+            q = exc.result
+        finally:
+            sys.settrace(old)
+        return q, ran
+
+    def test_tail_allowance_of_an_empty_edge(self):
+        # x (1 - x) underflows on the outermost ring: no tail to charge
+        q, ran = self.traced(lambda x, xc: x * xc)
+        assert abs(q.value - 1.0 / 6.0) <= q.err <= 2e-11 and q.effort == 97
+        assert "trunc = 0.0" in ran
+
+    def test_tail_allowance_of_a_flat_edge(self):
+        # x^-0.999 barely decays towards x = 0: the coarse 2 u_max g_out
+        # charge, which covers the true value 1000 from the carried 490.6
+        q, ran = self.traced(lambda x, xc: x ** -0.999)
+        assert CFG.tol < abs(q.value - 1000.0) <= q.err and q.effort == 24781
+        assert "trunc = 2.0 * _U_MAX * g_out" in ran
 
     def test_complex_integrand(self):
         q = de_quadrature(lambda x, xc: complex(1.0, 2.0 * x), CFG)
