@@ -11,14 +11,13 @@ import math
 from fermatreg import (
     EvalConfig,
     FormIndex,
-    de_quadrature,
     log_integral,
-    one_minus_root,
     oracle_series_sum,
     period,
     reg_holomorphic,
     script_F,
 )
+from fermatreg.verify import de_quadrature, one_minus_root
 
 cfg = EvalConfig()
 a, b, N = 1, 2, 5

@@ -2,15 +2,20 @@
 
 The package has three layers:
 
-* :mod:`fermatreg.specialfn` -- beta, Gamma ratios, tanh-sinh quadrature
-  and a certified 3F2-at-unit-argument evaluator (an accelerated series
-  whose algebraic tail is closed from its exact large-k expansion);
+* :mod:`fermatreg.specialfn` -- beta, Gamma ratios and a certified
+  3F2-at-unit-argument evaluator (an accelerated series whose algebraic
+  tail is closed from its exact large-k expansion);
 * :mod:`fermatreg.fermat` -- eigenform indexing on the curve x^N + y^N = 1,
   period constants, the root-of-unity coefficient mu_half, and the
   Hodge-class predicate (by type, for every N >= 3);
 * :mod:`fermatreg.regulator` -- the script-F building block, the holomorphic
   and mixed regulator pairings, the f(i, N) indecomposability statistic, and
-  brute-force oracles (quadrature and series) that check the closed forms.
+  the regrouped series oracle that checks the closed forms.
+
+:mod:`fermatreg.verify`, which ``import fermatreg`` does not load, holds the
+self-check suites and the check-only evaluators: the tanh-sinh quadrature
+``de_quadrature``, ``one_minus_root`` and the projector oracle
+``oracle_projector_integral``.
 
 Everything is deterministic: fixed summation orders and seeded self-checks.
 The package keeps no state between calls: every function's result depends
@@ -26,10 +31,7 @@ from .specialfn import (
     EvalResult,
     Hyp3F2Params,
     beta,
-    de_quadrature,
-    gauss_2f1_unit,
     hyp3f2_unit,
-    one_minus_root,
 )
 from .fermat import (
     FormIndex,
@@ -46,7 +48,6 @@ from .regulator import (
     f_indec,
     im_reg_mixed,
     log_integral,
-    oracle_projector_integral,
     oracle_series_sum,
     reg_holomorphic,
     script_F,
@@ -56,13 +57,11 @@ __all__ = [
     "__version__",
     # specialfn
     "BudgetExceededError", "DomainError", "EvalConfig", "EvalResult",
-    "Hyp3F2Params", "beta", "de_quadrature", "gauss_2f1_unit", "hyp3f2_unit",
-    "one_minus_root",
+    "Hyp3F2Params", "beta", "hyp3f2_unit",
     # fermat
     "FormIndex", "WedgeIndex", "bracket", "genus", "is_hodge", "is_in_IN",
     "is_prime", "mu_half", "period",
     # regulator
-    "f_indec", "im_reg_mixed", "log_integral",
-    "oracle_projector_integral", "oracle_series_sum", "reg_holomorphic",
-    "script_F",
+    "f_indec", "im_reg_mixed", "log_integral", "oracle_series_sum",
+    "reg_holomorphic", "script_F",
 ]

@@ -14,12 +14,12 @@ these give closed forms for two pairing flavors:
   normalized holomorphic eigenforms, a four-term combination of script-F
   values weighted by the half-angle coefficient ``mu_half``.
 
-Each closed form ships with independent oracles (a regrouped series, and
-the direct quadratures of the log-kernel integrals projected onto one
-eigenform component) so agreement can be checked instance by instance.
+Each closed form ships with independent oracles so agreement can be
+checked instance by instance: the regrouped series here, and the direct
+quadratures of the log-kernel integrals projected onto one eigenform
+component, which only the self-checks load (:mod:`fermatreg.verify`).
 """
 
-import cmath
 import math
 from fractions import Fraction
 
@@ -32,10 +32,8 @@ from .specialfn import (
     Hyp3F2Params,
     _scaled,
     algebraic_tail_sum,
-    de_quadrature,
     gamma_ratio,
     hyp3f2_unit,
-    one_minus_root,
 )
 
 __all__ = [
@@ -45,7 +43,6 @@ __all__ = [
     "im_reg_mixed",
     "f_indec",
     "oracle_series_sum",
-    "oracle_projector_integral",
 ]
 
 _EPS = math.ulp(1.0)
@@ -306,58 +303,3 @@ def oracle_series_sum(a: int, b: int, N: int,
             f"series oracle ({a_r}, {b_r}; {N}): tolerance {cfg.tol:g} not reached; "
             f"smallest err {err:.3g} at K = {K} of {len(terms)} terms", result)
     return result
-
-
-def oracle_projector_integral(a: int, b: int, c: int, d: int, N: int,
-                              cfg: EvalConfig = EvalConfig()) -> EvalResult:
-    """Brute-force projection of the twisted log-kernel integrals.
-
-    Computes the N integrals
-        K_r = (1/N) * int_0^1 Log(1 - z^r t^(1/N)) t^(a/N - 1) (1-t)^(b/N - 1) dt,
-    z = exp(2 pi i/N), by quadrature (no series acceleration anywhere).
-    Their (a, b)-twisted translates J(r, s) = z^(a r + b s) K_r, projected
-    onto the (c, d) component, give the O(N^2) sum over r, s in Z/N of
-    z^((a-c) r + (b-d) s) K_r, normalized by N^2 times the (a, b) period.
-    Averaging out J's translate means first would change nothing: each mean
-    carries a factor sum_r z^(-c r) or sum_s z^(-d s), which is 0 because
-    c, d are nonzero mod N for every holomorphic label.  Matches the
-    script-F closed form
-
-        result = -[b==d] * F(a, <c-a>, b)
-
-    up to the certified error bounds; on the swapped labels (b, a, d, c),
-    the y side of the curve, that reads -[a==c] * F(b, <d-b>, a).  A wrong
-    normalization or projection misses the closed form, or leaves a
-    nonzero value on mismatched labels.  Each integral is a term of
-    :func:`_held` of weight 1/|norm|, the most its err moves the value, so
-    ``err`` stays at or below cfg.tol, and a failure names the labels.
-    The result is complex; ``effort`` is the nodes of all N quadratures.
-    """
-    a, b = _holomorphic(a, b, N)
-    c, d = _holomorphic(c, d, N)
-    # N^2 times the period B(a/N, b/N)/N; N B, 1/norm, the product with it
-    # and the sum it multiplies round once each
-    B, rel = gamma_ratio((a / N, b / N), ((a + b) / N,))
-    norm, rel = N * B, rel + 4.0 * _EPS
-    e1 = a / N - 1.0
-    e2 = b / N - 1.0
-
-    def integrand(zr: complex):
-        if zr == 1.0:  # Log(1 - t^(1/N)) is real, and loses digits near t = 1
-            return lambda x, xc: math.log(one_minus_root(x, xc, N)) * x ** e1 * xc ** e2
-        return lambda x, xc: cmath.log(1.0 - zr * x ** (1.0 / N)) * x ** e1 * xc ** e2
-
-    z = [cmath.exp(complex(0.0, 2.0 * math.pi * k / N)) for k in range(N)]
-
-    def combine(qs: list[EvalResult]) -> EvalResult:
-        products = [z[((a - c) * r + (b - d) * s) % N] * (qs[r].value / N)
-                    for r in range(N) for s in range(N)]
-        # a root errs by 11 eps: its argument by 3 pi eps, its cos and sin
-        # by an ulp each; with the division by N (eps/2) and the complex
-        # product (sqrt(5) eps/2) each product errs by 13 eps of its size
-        total = complex(math.fsum(p.real for p in products), math.fsum(p.imag for p in products))
-        err = math.fsum(q.err for q in qs) + 13.0 * _EPS * math.fsum(map(abs, products))
-        return _scaled(EvalResult(total, err, sum(q.effort for q in qs)), 1.0 / norm, rel)
-
-    return _held(cfg.tol, [((1.0 + rel) / norm, lambda t, zr=zr: de_quadrature(integrand(zr), t))
-                           for zr in z], combine, f"projector oracle ({a}, {b}; {c}, {d}; {N}): ")

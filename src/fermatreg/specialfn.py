@@ -1,7 +1,7 @@
 """Special functions with exact-rational parameters and certified error bounds.
 
-Beta, Gamma ratios, 3F2 at unit argument, and a tanh-sinh quadrature rule
-for integrands with endpoint singularities.
+Beta, Gamma ratios and 3F2 at unit argument.  The tanh-sinh quadrature
+that only the self-checks use lives in :mod:`fermatreg.verify`.
 
 The 3F2 evaluator sums the series as given in a plain Python loop and
 closes the algebraic tail from the term's exact large-k expansion, summed
@@ -15,10 +15,9 @@ built-in ``sum``, whose rounding changed in Python 3.12; so results are
 bitwise reproducible, across Python versions too.
 """
 
-import cmath
 import math
 from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
 
@@ -30,10 +29,7 @@ __all__ = [
     "Hyp3F2Params",
     "beta",
     "gamma_ratio",
-    "gauss_2f1_unit",
     "hyp3f2_unit",
-    "de_quadrature",
-    "one_minus_root",
     "algebraic_tail_sum",
 ]
 
@@ -85,7 +81,8 @@ class EvalConfig(namedtuple("EvalConfig", "tol")):
     """The evaluation knob: the absolute tolerance ``tol``.
 
     The series term budget is fixed (see :func:`hyp3f2_unit`), and so is
-    the quadrature's number of halving levels (see :func:`de_quadrature`).
+    the quadrature's number of halving levels (see
+    :func:`fermatreg.verify.de_quadrature`).
     """
 
     __slots__ = ()
@@ -194,118 +191,6 @@ def _scaled(res: EvalResult, factor: float, rel: float) -> EvalResult:
     value = factor * res.value
     return EvalResult(value, abs(factor) * res.err * (1.0 + rel) + rel * abs(value),
                       res.effort)
-
-
-def gauss_2f1_unit(a: float, b: float, c: float) -> float:
-    """Closed form of 2F1(a,b;c;1) = G(c)G(c-a-b) / (G(c-a)G(c-b)).
-
-    Requires c-a-b > 0 (convergence) and positive Gamma arguments, and
-    raises DomainError where the value is not certified to half its digits.
-    """
-    a, b, c = float(a), float(b), float(c)
-    if not c - a - b > 0.0:
-        raise DomainError("2F1 at unit argument needs c - a - b > 0")
-    return _half_certified("gauss_2f1_unit", (a, b, c), (c, c - a - b), (c - a, c - b))
-
-
-# --- tanh-sinh quadrature on (0, 1) ---------------------------------------
-#
-# Nodes x = (1 + tanh((pi/2) sinh u)) / 2.  Integrands receive (x, 1-x), the
-# complement computed directly from the transform, so algebraic
-# singularities at either endpoint can be resolved to full double precision.
-
-_U_MAX = 6.05        # keeps exp(-2v) above the subnormal floor
-_H0 = 0.5
-_QUAD_LEVELS = 10    # halvings of _H0 before BudgetExceededError
-
-
-def _ts_point(u: float) -> tuple[float, float, float]:
-    """Node, complement and weight of the tanh-sinh map at parameter u."""
-    v = 0.5 * math.pi * math.sinh(u)
-    ev = math.exp(-2.0 * abs(v))
-    small = ev / (1.0 + ev)          # min(x, 1-x), computed without overflow
-    big = 1.0 / (1.0 + ev)
-    w = math.pi * math.cosh(u) * ev / ((1.0 + ev) * (1.0 + ev))
-    if v >= 0.0:
-        return big, small, w
-    return small, big, w
-
-
-def de_quadrature(f: Callable, cfg: EvalConfig) -> EvalResult:
-    """Integrate f(x, 1 - x) over (0, 1) with the tanh-sinh rule.
-
-    The callback receives each node x together with its complement
-    ``xc = 1 - x`` computed without cancellation, so it can resolve strong
-    singularities at both endpoints exactly: write log(1 - x) as
-    ``log(xc)``, not ``log1p(-x)``, which reaches log(0) near x = 1.
-    Never samples the endpoints.  The error estimate combines the last
-    inter-level difference with a tail allowance for the truncated ends of
-    the transformed axis, sized from the measured decay across the two
-    outermost node rings; halving levels stop as soon as the estimate
-    reaches ``cfg.tol`` and raise :class:`BudgetExceededError` when 10
-    levels are exhausted first, carrying the smallest-err estimate of the
-    levels from 2 on and the effort of every node.  An integrand value
-    that is NaN or infinite raises :class:`DomainError`.
-    """
-    effort = 0
-    estimate = 0.0
-    best = None
-    for level in range(_QUAD_LEVELS + 1):
-        h = _H0 * 0.5 ** level
-        n = int(_U_MAX / h)
-        # level 0 visits every node; each later level only the odd multiples
-        # of its h, the nodes the levels before it did not visit
-        step = 2 if level else 1
-        first = n - (n + 1) % step  # the outermost node visited
-        add = 0.0
-        g_out = 0.0
-        g_in = 0.0
-        for k in range(-first, n + 1, step):
-            x, xc, w = _ts_point(k * h)
-            fv = f(x, xc)
-            if not cmath.isfinite(fv):  # real or complex
-                raise DomainError(f"integrand not finite at x={x!r}")
-            term = w * fv
-            add = add + term
-            ak = abs(k)
-            if ak == first:
-                g_out = max(g_out, abs(term))
-            elif ak == first - 2:
-                g_in = max(g_in, abs(term))
-            effort += 1
-        prev = estimate
-        estimate = 0.5 * estimate + h * add
-        diff = abs(estimate - prev)
-        # mass beyond the outermost ring: the rings at |u| ~ u_max decay by
-        # rho per 2h step, so the omitted sum is a geometric tail; a flat or
-        # growing edge cannot be certified and gets a coarse O(u_max) charge
-        if g_out == 0.0:
-            trunc = 0.0
-        elif g_out < g_in:
-            trunc = 8.0 * h * g_out / (1.0 - g_out / g_in)
-        else:
-            trunc = 2.0 * _U_MAX * g_out
-        err = diff + trunc + 8.0 * _EPS * (1.0 + abs(estimate))
-        if level >= 2:
-            if err <= cfg.tol:
-                return EvalResult(estimate, err, effort)
-            if best is None or err < best[1]:
-                best = estimate, err
-    raise BudgetExceededError(
-        f"tolerance {cfg.tol:g} not reached in {_QUAD_LEVELS} halving levels",
-        EvalResult(*best, effort))
-
-
-def one_minus_root(x: float, xc: float, n: int) -> float:
-    """1 - x^(1/n) given both x and its complement xc = 1 - x.
-
-    Near x = 1 the naive form loses all digits; routing through the
-    complement (expm1/log1p) keeps full precision, while for x <= 1/2 the
-    direct power is already exact enough and avoids log1p(-1) at xc = 1.
-    """
-    if xc > 0.5:
-        return 1.0 - x ** (1.0 / n)
-    return -math.expm1(math.log1p(-xc) / n)
 
 
 # --- algebraic-tail series summation ---------------------------------------

@@ -21,7 +21,8 @@ from fermatreg.fermat import (
     mu_half,
     period,
 )
-from fermatreg.specialfn import DomainError, EvalConfig, de_quadrature
+from fermatreg.specialfn import DomainError, EvalConfig
+from fermatreg.verify import de_quadrature
 
 
 class TestBracket:

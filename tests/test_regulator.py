@@ -14,13 +14,13 @@ from fermatreg.regulator import (
     f_indec,
     im_reg_mixed,
     log_integral,
-    oracle_projector_integral,
     oracle_series_sum,
     reg_holomorphic,
     script_F,
 )
-from fermatreg.specialfn import Hyp3F2Params, de_quadrature, hyp3f2_unit
+from fermatreg.specialfn import Hyp3F2Params, hyp3f2_unit
 from fermatreg.specialfn import BudgetExceededError, DomainError, EvalConfig, EvalResult, beta
+from fermatreg.verify import de_quadrature, one_minus_root, oracle_projector_integral
 
 CFG = EvalConfig()
 
@@ -142,8 +142,6 @@ class TestLogIntegral:
 
     def test_against_direct_quadrature(self):
         # (1/N) * int_0^1 log(1 - t^(1/N)) t^(a/N-1) (1-t)^(b/N-1) dt
-        from fermatreg.specialfn import de_quadrature, one_minus_root
-
         a, b, N = 1, 2, 5
         q = de_quadrature(
             lambda x, xc: math.log(one_minus_root(x, xc, N))
