@@ -98,14 +98,14 @@ def _cmd_f_table(args) -> int:
             raise DomainError(f"f-table needs N >= 5, got {N}")
         if not fermat.is_prime(N):
             raise DomainError(f"f-table needs prime N, got {N}")
-    explicit_i = _parse_int_list(args.i) if args.i else None
+    explicit_i = sorted(set(_parse_int_list(args.i))) if args.i else None
+    # 1 + 2i < N for every default row of a prime N >= 5: each is valid, and
+    # they are made one at a time, however many N // 4 is
+    rows = ((i, N, _f_table_wedge(i, N)) for N in moduli
+            for i in (range(2, N // 4 + 1) if explicit_i is None else explicit_i))
     if explicit_i is not None:
         # an invalid row is a usage error, raised before anything is printed
-        rows = [(i, N, _f_table_wedge(i, N)) for N in moduli for i in sorted(set(explicit_i))]
-    else:
-        # 1 + 2i < N for every default row of a prime N >= 5: each is valid,
-        # and they are made one at a time, however many N // 4 is
-        rows = ((i, N, _f_table_wedge(i, N)) for N in moduli for i in range(2, N // 4 + 1))
+        rows = list(rows)
 
     # each row is written as soon as it is computed, so a closed pipe stops the table
     if args.format == "csv":

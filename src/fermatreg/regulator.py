@@ -31,6 +31,7 @@ from .specialfn import (
     EvalResult,
     Hyp3F2Params,
     _scaled,
+    _search,
     algebraic_tail_sum,
     gamma_ratio,
     hyp3f2_unit,
@@ -67,12 +68,13 @@ def _held(tol: float, terms: list, combine, prefix: str = "") -> EvalResult:
 
     ``terms`` lists (weight, call): |c_i| with its relative error folded in,
     and the call that evaluates v_i at an EvalConfig.  Each call is asked
-    for tol / (2 sum weight); a BudgetExceededError gives the result it
-    carries.  A combined err above tol raises one with the combined result,
-    ``prefix`` and the first failing call's message, or else the err left
-    over from sum weight * err_i: the layer's own rounding.
+    for tol / (2 sum weight), or the least positive float where that
+    underflows; a BudgetExceededError gives the result it carries.  A
+    combined err above tol raises one with the combined result, ``prefix``
+    and the first failing call's message, or else the err left over from
+    sum weight * err_i: the layer's own rounding.
     """
-    share = EvalConfig(tol / (2.0 * math.fsum(w for w, _ in terms)))
+    share = EvalConfig(max(tol / (2.0 * math.fsum(w for w, _ in terms)), math.ulp(0.0)))
     results, failure = [], None
     for _, call in terms:
         try:
@@ -257,49 +259,40 @@ def oracle_series_sum(a: int, b: int, N: int,
     2 eps (K//N + 2), on the summed value.  ``err`` adds that charge, the
     sums' rounding and the tail's ``model_err``.
 
-    So ``err`` is U-shaped in K: the tail's ``model_err`` falls with K,
-    but the charge per term grows with it.  K runs through the
-    checkpoints 1024 * 2^m up to 32768, all on :func:`hyp3f2_unit`'s grid
-    of tails, and each checkpoint extends one list of terms, so the first
-    K terms have the same bits whatever checkpoint the search reaches.
-    The search stops at the first checkpoint whose err is not below the
-    previous one's and returns the smallest-err result; ``effort`` counts
-    every term built.  If that err exceeds cfg.tol,
-    :class:`BudgetExceededError` names the label, the err and its K, and
-    carries that result.
+    The checkpoints K = 1024 * 2^m up to 32768, all on
+    :func:`hyp3f2_unit`'s grid of tails, are searched by
+    :func:`fermatreg.specialfn._search`; each extends one list of terms, so
+    the first K terms have the same bits whatever checkpoint the search
+    reaches.
     """
     _, a_r, b_r = FormIndex(N, a, b)
+    return _search(cfg.tol, _oracle_series(a_r, b_r, N),
+                   f"series oracle ({a_r}, {b_r}; {N}): ")
+
+
+def _oracle_series(a: int, b: int, N: int):
+    """The (result, floor) checkpoints of :func:`oracle_series_sum`."""
     # the tail expands in 1/x, x = j/N, from the shifts a/N, 0 over
     # (a+b)/N, 1: its first checkpoint has x >= 8 times the largest
-    checkpoints = [K for K in _SERIES_CHECKPOINTS if K >= 8 * max(a_r + b_r, N)]
+    checkpoints = [K for K in _SERIES_CHECKPOINTS if K >= 8 * max(a + b, N)]
     if not checkpoints:
-        raise DomainError(f"series oracle ({a_r}, {b_r}; {N}) needs a first tail past "
+        raise DomainError(f"series oracle ({a}, {b}; {N}) needs a first tail past "
                           f"its {_SERIES_CHECKPOINTS[-1]}-term budget")
     terms = []
     beta = [0.0] * N  # B((a+j)/N, b/N) at the last j built in class j mod N
     beta_rel = 0.0
-    best = None
     for K in checkpoints:
         for j in range(len(terms) + 1, K + 1):
             if j <= N:
-                beta[j % N], rel0 = gamma_ratio(((a_r + j) / N, b_r / N),
-                                                ((a_r + b_r + j) / N,))
+                beta[j % N], rel0 = gamma_ratio(((a + j) / N, b / N), ((a + b + j) / N,))
                 beta_rel = max(beta_rel, rel0)
             else:  # B at j from B at j - N
-                beta[j % N] *= (a_r + j - N) / (a_r + b_r + j - N)
+                beta[j % N] *= (a + j - N) / (a + b + j - N)
             terms.append(beta[j % N] / (j * N))
-        rel = beta_rel + 2.0 * _EPS * (K // N + 2)
-        tail, model_err = algebraic_tail_sum(terms[K - 1], K, (a_r, 0), (a_r + b_r, N), N, N)
-        value = math.fsum(terms) + tail
-        # every term, and the tail through its anchor, errs by rel at most
-        err = model_err + (rel + 4.0 * _EPS) * abs(value)
-        if best is not None and err >= best[1]:
-            break
-        best = value, err, K
-    value, err, K = best
-    result = EvalResult(value, err, len(terms))
-    if err > cfg.tol:
-        raise BudgetExceededError(
-            f"series oracle ({a_r}, {b_r}; {N}): tolerance {cfg.tol:g} not reached; "
-            f"smallest err {err:.3g} at K = {K} of {len(terms)} terms", result)
-    return result
+        # every term, and the tail through its anchor, errs by rel at most,
+        # and the sums add 4 eps; rel only grows with K and the positive
+        # terms' sum never falls, so rel times this head floors every later err
+        rel = beta_rel + 2.0 * _EPS * (K // N + 2) + 4.0 * _EPS
+        tail, model_err = algebraic_tail_sum(terms[K - 1], K, (a, 0), (a + b, N), N, N)
+        head = math.fsum(terms)
+        yield EvalResult(head + tail, model_err + rel * abs(head + tail), K), rel * head

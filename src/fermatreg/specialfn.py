@@ -193,6 +193,31 @@ def _scaled(res: EvalResult, factor: float, rel: float) -> EvalResult:
                       res.effort)
 
 
+def _search(tol: float, checkpoints, prefix: str) -> EvalResult:
+    """The stop rule of every checkpointed evaluator: the first result of
+    the (result, floor) ``checkpoints`` whose err is at most ``tol``, each
+    floor a lower bound on every later checkpoint's err.
+
+    Otherwise a BudgetExceededError, its message led by ``prefix``, carries
+    the smallest-err result with the last checkpoint's effort, all the
+    work: after the last checkpoint, or once err has stopped falling and
+    the floor passes ``tol``, where no later checkpoint can certify.
+    """
+    best = None
+    why = "not reached"
+    for result, floor in checkpoints:
+        if result.err <= tol:
+            return result
+        if best is None or result.err < best.err:
+            best = result
+        elif floor > tol:
+            why = f"lies below the series' rounding ({floor:.3g})"
+            break
+    raise BudgetExceededError(f"{prefix}tolerance {tol:g} {why}; "
+                              f"stopped after {result.effort} terms",
+                              EvalResult(best.value, best.err, result.effort))
+
+
 # --- algebraic-tail series summation ---------------------------------------
 
 # B_2j / (2j)! for j = 1..6, the Euler-Maclaurin coefficients
@@ -368,27 +393,24 @@ def hyp3f2_unit(p: Hyp3F2Params, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     ``2 eps sum k|t_k|`` (a proved bound: each term ratio is one correctly
     rounded int quotient, so t_k rounds 2k times), the same drift on the
     tail through its anchor t_K (``2 eps K |tail|``) and the rounding of
-    the sums.  One rule ends every series: a checkpoint whose ``err`` is
-    at most ``cfg.tol`` is returned, and otherwise
-    :class:`BudgetExceededError` is raised, carrying the result with the
-    smallest ``err`` and an ``effort`` that counts every term summed.  It
-    is raised after the last checkpoint, or as soon as ``err`` has stopped
-    falling and a floor that no later checkpoint's ``err`` can go below
-    passes ``cfg.tol``: the drift and sum rounding so far, plus
-    ``eps K max(0, |tail| - model_err)`` for the true tail's drift, which
-    every later checkpoint charges again through its terms and its anchor.
+    the sums.  The checkpoints are searched by :func:`_search`, the floor
+    no later ``err`` can go below being the drift and sum rounding so far,
+    plus ``eps K max(0, |tail| - model_err)`` for the true tail's drift,
+    which every later checkpoint charges again through its terms and its
+    anchor.
     """
     if 0 in (p.a1, p.a2, p.a3):
         return EvalResult(1.0, 0.0, 1)
     try:
-        return _sum_series(p, cfg)
+        return _search(cfg.tol, _sum_series(p), "series ")
     except (OverflowError, ZeroDivisionError) as exc:
         raise DomainError(f"the series leaves the float range ({exc})") from None
 
 
-def _sum_series(p: Hyp3F2Params, cfg: EvalConfig) -> EvalResult:
-    """3F2(p; 1), its parameters taken over their least common denominator
-    D so that every term ratio is a ratio of ints."""
+def _sum_series(p: Hyp3F2Params):
+    """The (result, floor) checkpoints of 3F2(p; 1), its parameters taken
+    over their least common denominator D so that every term ratio is a
+    ratio of ints."""
     fr = (p.a1, p.a2, p.a3, p.b1, p.b2)
     D = math.lcm(*(q.denominator for q in fr))
     n1, n2, n3, b1, b2 = (q.numerator * (D // q.denominator) for q in fr)
@@ -417,9 +439,6 @@ def _sum_series(p: Hyp3F2Params, cfg: EvalConfig) -> EvalResult:
     drift = 0.0   # sum of k*|t_k|: t_k errs by at most k eps relative
     t = 1.0       # term at k = 0
     count = 1     # terms summed so far (k = 0 included)
-
-    best: EvalResult | None = None
-    why = "not reached"
     for K in checkpoints:
         while count <= K:
             n = min(_BLOCK, K + 1 - count)
@@ -442,23 +461,10 @@ def _sum_series(p: Hyp3F2Params, cfg: EvalConfig) -> EvalResult:
         err = model_err + 2.0 * _EPS * drift \
             + 2.0 * _EPS * K * abs(tail) \
             + 4.0 * _EPS * (abs_sum + abs(tail))
-        result = EvalResult(1.0 + math.fsum(block_sums) + tail, err, count)
-        if result.err <= cfg.tol:
-            return result
         # drift and abs_sum never fall, and past K every term keeps t_K's
         # sign (K D >= 8 |parameter|), so a later checkpoint's drift on the
         # terms past K plus its anchor charge is about 2 eps K times the
-        # true tail, at least |tail| - model_err: once this floor passes
-        # tol no later checkpoint can certify, and only a falling err earns
-        # more terms
+        # true tail, at least |tail| - model_err
         floor = 2.0 * _EPS * drift + 4.0 * _EPS * abs_sum \
             + _EPS * K * max(0.0, abs(tail) - model_err)
-        if best is None or result.err < best.err:
-            best = result
-        elif floor > cfg.tol:
-            why = f"lies below the series' rounding ({floor:.3g})"
-            break
-
-    raise BudgetExceededError(
-        f"series tolerance {cfg.tol:g} {why}; stopped after {count} terms",
-        EvalResult(best.value, best.err, count))
+        yield EvalResult(1.0 + math.fsum(block_sums) + tail, err, count), floor

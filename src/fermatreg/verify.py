@@ -21,12 +21,12 @@ from fractions import Fraction
 from . import fermat, regulator, specialfn
 from .regulator import _held, _holomorphic
 from .specialfn import (
-    BudgetExceededError,
     DomainError,
     EvalConfig,
     EvalResult,
     Hyp3F2Params,
     _scaled,
+    _search,
     gamma_ratio,
 )
 
@@ -59,7 +59,7 @@ def _check(name: str, discrepancy: float, threshold: float) -> CheckResult:
 
 _U_MAX = 6.05        # keeps exp(-2v) above the subnormal floor
 _H0 = 0.5
-_QUAD_LEVELS = 10    # halvings of _H0 before BudgetExceededError
+_QUAD_LEVELS = 10    # halvings of _H0, the last checkpoint
 
 
 def _ts_point(u: float) -> tuple[float, float, float]:
@@ -95,15 +95,19 @@ def de_quadrature(f: Callable, cfg: EvalConfig) -> EvalResult:
     tail allowance for the truncated ends of the transformed axis, sized
     from the measured decay across the two outermost node rings, and
     ``8 eps (1 + |estimate|)`` for rounding; the discretization part is an
-    estimate, not a proved bound.  Halving levels stop as soon as the
-    estimate reaches ``cfg.tol`` and raise :class:`BudgetExceededError`
-    when 10 levels are exhausted first, carrying the smallest-err estimate
-    of the levels from 2 on and the effort of every node.  An integrand
-    value that is NaN or infinite raises :class:`DomainError`.
+    estimate, not a proved bound.  The levels from 2 on, up to 10 halvings,
+    are the checkpoints of :func:`fermatreg.specialfn._search`, with no
+    floor, so every level runs until one certifies.  An integrand value
+    that is NaN or infinite raises :class:`DomainError`.
     """
+    return _search(cfg.tol, _ts_levels(f), "quadrature ")
+
+
+def _ts_levels(f: Callable):
+    """The (result, floor) checkpoints of :func:`de_quadrature`: each
+    level's estimate from level 2 on, with floor 0."""
     effort = 0
     estimate = 0.0
-    best = None
     for level in range(_QUAD_LEVELS + 1):
         h = _H0 * 0.5 ** level
         n = int(_U_MAX / h)
@@ -139,15 +143,9 @@ def de_quadrature(f: Callable, cfg: EvalConfig) -> EvalResult:
             trunc = 8.0 * h * g_out / (1.0 - g_out / g_in)
         else:
             trunc = 2.0 * _U_MAX * g_out
-        err = diff + trunc + 8.0 * _EPS * (1.0 + abs(estimate))
         if level >= 2:
-            if err <= cfg.tol:
-                return EvalResult(estimate, err, effort)
-            if best is None or err < best[1]:
-                best = estimate, err
-    raise BudgetExceededError(
-        f"tolerance {cfg.tol:g} not reached in {_QUAD_LEVELS} halving levels",
-        EvalResult(*best, effort))
+            yield EvalResult(estimate, diff + trunc + 8.0 * _EPS * (1.0 + abs(estimate)),
+                             effort), 0.0
 
 
 def one_minus_root(x: float, xc: float, n: int) -> float:

@@ -248,6 +248,13 @@ class TestRegCommand:
         assert p.stderr.startswith(b"numerical failure: script-F term (2, 1, 1; 5)")
         assert b"lies below the series' rounding" in p.stderr
 
+    def test_least_tol_is_a_budget_failure(self):
+        # tol / (2 sum weight) underflows to 0 at the least positive tol
+        p = run_cli("reg", "holo", "--N", "5", "--a", "1", "--b", "2",
+                    "--tol", "5e-324")
+        assert p.returncode == 1
+        assert p.stderr.startswith(b"numerical failure: script-F term ")
+
     def test_holo_large_modulus(self):
         p = run_cli("reg", "holo", "--N", "29", "--a", "1", "--b", "2")
         assert p.returncode == 0, p.stderr

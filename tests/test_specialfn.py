@@ -27,7 +27,7 @@ from fermatreg.specialfn import (
     gamma_ratio,
     hyp3f2_unit,
 )
-from fermatreg.verify import de_quadrature, one_minus_root
+from fermatreg.verify import _ts_levels, de_quadrature, one_minus_root
 
 CFG = EvalConfig()
 
@@ -600,14 +600,14 @@ class TestQuadrature:
     @staticmethod
     def traced(f):
         """de_quadrature(f, CFG), or the result its failure carries, and the
-        tail allowances, ``trunc = ...`` lines, that ran."""
-        lines, first = inspect.getsourcelines(de_quadrature)
+        tail allowances, ``trunc = ...`` lines of its levels, that ran."""
+        lines, first = inspect.getsourcelines(_ts_levels)
         allowances = {first + i: text.strip() for i, text in enumerate(lines)
                       if text.strip().startswith("trunc = ")}
         ran = set()
 
         def trace(frame, event, arg):
-            if frame.f_code is not de_quadrature.__code__:
+            if frame.f_code is not _ts_levels.__code__:
                 return None
             if event == "line" and frame.f_lineno in allowances:
                 ran.add(allowances[frame.f_lineno])
