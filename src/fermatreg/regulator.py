@@ -64,31 +64,73 @@ def _script_F_params(a: int, j: int, b: int, N: int) -> Hyp3F2Params:
 
 
 def _held(tol: float, terms: list, combine, prefix: str = "") -> EvalResult:
-    """combine(results) for a layer's value sum c_i v_i, held to ``tol``.
+    """combine(results) for a call's value sum c_i v_i, held to ``tol``.
 
-    ``terms`` lists (weight, call): |c_i| with its relative error folded in,
-    and the call that evaluates v_i at an EvalConfig.  Each call is asked
-    for tol / (2 sum weight), or the least positive float where that
-    underflows; a BudgetExceededError gives the result it carries.  A
-    combined err above tol raises one with the combined result, ``prefix``
-    and the first failing call's message, or else the err left over from
-    sum weight * err_i: the layer's own rounding.
-    """
-    share = EvalConfig(max(tol / (2.0 * math.fsum(w for w, _ in terms)), math.ulp(0.0)))
+    ``terms`` lists (weight, call, name): |c_i| with its relative error
+    folded in, the call that evaluates v_i at an EvalConfig, and the name
+    that leads its failure message.  Each call is asked for tol / (2 sum
+    weight), or the least positive float where that underflows; a
+    BudgetExceededError gives the result it carries.  A combined err above
+    tol raises one with the combined result, ``prefix`` and the first
+    failing call's name and message, or else the err left over from sum
+    weight * err_i: the call's own rounding."""
+    share = EvalConfig(max(tol / (2.0 * math.fsum(w for w, _, _ in terms)), math.ulp(0.0)))
     results, failure = [], None
-    for _, call in terms:
+    for _, call, name in terms:
         try:
             results.append(call(share))
         except BudgetExceededError as exc:
             results.append(exc.result)
-            failure = failure or str(exc)
+            failure = failure or name + str(exc)
     res = combine(results)
     if res.err <= tol:
         return res
     if failure is None:
-        own = res.err - math.fsum(w * r.err for (w, _), r in zip(terms, results))
+        own = res.err - math.fsum(w * r.err for (w, _, _), r in zip(terms, results))
         failure = f"tolerance {tol:g} lies below the weighting's own rounding ({own:.3g})"
     raise BudgetExceededError(prefix + failure, res)
+
+
+def _script_F_sum(terms: list[tuple[float, int, int, int]], N: int, tol: float,
+                  factor: float = 1.0, rel: float = 0.0) -> EvalResult:
+    """factor * sum c F(a, j, b; N) over the ``terms`` (c, a, j, b), held to
+    ``tol`` by one :func:`_held` call whose terms are the distinct 3F2 series.
+
+    A series, named ``script-F term (a, j, b; N): ``, is evaluated once and
+    weighs |factor| (1 + rel) sum |c| ratio/j (1 + rel_ratio): ``rel`` bounds
+    the error of ``factor`` and of the product with it, and the Beta-ratio
+    prefactor ratio/j (see :func:`gamma_ratio`) makes the series an F.  The
+    products c F are summed by one ``math.fsum``, so a term list that negates
+    under a swap of labels negates the value bit for bit, terms that cancel in
+    pairs give exactly 0.0, and no terms exact 0 with err 0.  ``err`` adds
+    32 eps sum |c F| to sum |c| err_F, for the rounding of the products, of
+    the sum and of a computed c (``mu_half``'s imaginary part errs by at most
+    3.3 eps for every label with N <= 200, measured against mpmath).
+    """
+    if not terms:
+        return EvalResult(0.0, 0.0, 0)
+    series = {}  # (a, j, b) -> [sum |c|, ratio/j, its relative error]
+    for (c, a, j, b) in terms:
+        if (a, j, b) not in series:
+            # B((a+j)/N, b/N) / B(a/N, b/N), the common Gamma(b/N) cancelled;
+            # the division by j and the product with the series round once each
+            ratio, r = gamma_ratio(((a + j) / N, (a + b) / N), ((a + b + j) / N, a / N))
+            series[a, j, b] = [0.0, ratio / j, r + 2.0 * _EPS]
+        series[a, j, b][0] += abs(c)
+
+    def combine(results: list[EvalResult]) -> EvalResult:
+        fs = {k: _scaled(r, *series[k][1:]) for k, r in zip(series, results)}
+        cfs = [(c, fs[a, j, b]) for (c, a, j, b) in terms]
+        products = [c * f.value for c, f in cfs]
+        err = math.fsum(abs(c) * f.err for c, f in cfs) \
+            + 32.0 * _EPS * math.fsum(map(abs, products))
+        return _scaled(EvalResult(math.fsum(products), err, sum(r.effort for r in results)),
+                       factor, rel)
+
+    return _held(tol, [(abs(factor) * (1.0 + rel) * s * pref * (1.0 + pref_rel),
+                        lambda t, p=_script_F_params(a, j, b, N): hyp3f2_unit(p, t),
+                        f"script-F term ({a}, {j}, {b}; {N}): ")
+                       for (a, j, b), (s, pref, pref_rel) in series.items()], combine)
 
 
 def script_F(a: int, j: int, b: int, N: int,
@@ -99,55 +141,13 @@ def script_F(a: int, j: int, b: int, N: int,
     series excess is b/N regardless of j, and :func:`hyp3f2_unit` sums it
     directly, closing its slowly decaying tail from the term's exact
     large-k expansion.  ``err`` includes the rounding of the Gamma-ratio
-    prefactor (see :func:`gamma_ratio`) and stays at or below cfg.tol (see
-    :func:`_held`).  A :class:`BudgetExceededError` names the term and
-    carries the best script-F value, the prefactor times the series' best.
-    """
+    prefactor and stays at or below cfg.tol (see :func:`_script_F_sum`).  A
+    :class:`BudgetExceededError` names the term and carries the best
+    script-F value, the prefactor times the series' best."""
     _, a_r, b_r = FormIndex(N, a, b)
     if j < 1:
         raise DomainError("shift j must be at least 1")
-    # B((a+j)/N, b/N) / B(a/N, b/N), with the common Gamma(b/N) cancelled;
-    # the division by j and the product with the series round once each
-    ratio, rel = gamma_ratio(((a_r + j) / N, (a_r + b_r) / N),
-                             ((a_r + b_r + j) / N, a_r / N))
-    rel += 2.0 * _EPS
-    params = _script_F_params(a_r, j, b_r, N)
-    return _held(cfg.tol, [(ratio / j * (1.0 + rel), lambda t: hyp3f2_unit(params, t))],
-                 lambda rs: _scaled(rs[0], ratio / j, rel),
-                 f"script-F term ({a_r}, {j}, {b_r}; {N}): ")
-
-
-def _weighted_sum(terms: list[tuple[float, int, int, int]], N: int,
-                  cfg: EvalConfig) -> EvalResult:
-    """sum c * F(a, j, b; N) over the ``terms`` (c, a, j, b), c a float.
-
-    Each distinct (a, j, b) is one term of :func:`_held`, evaluated once
-    with the sum of |c| over the terms that name it as its weight, and
-    ``effort`` adds up the work of those evaluations alone.  The sum of
-    the products is a correctly rounded ``math.fsum``, so a term list that
-    negates under a swap of labels gives a value that negates bit for bit,
-    a list whose terms cancel in pairs gives exactly 0.0, and an empty list
-    gives exact 0 with err 0.  ``err`` is sum |c| err_F over the terms plus
-    32 eps sum |c F|, which covers the rounding of the products, of the sum
-    and of a computed c (``mu_half``'s imaginary part errs by at most
-    3.3 eps for every label with N <= 200, measured against mpmath).
-    """
-    if not terms:
-        return EvalResult(0.0, 0.0, 0)
-    weights = {}
-    for (c, a, j, b) in terms:
-        weights[a, j, b] = weights.get((a, j, b), 0.0) + abs(c)
-
-    def combine(results: list[EvalResult]) -> EvalResult:
-        fs = dict(zip(weights, results))
-        cfs = [(c, fs[a, j, b]) for (c, a, j, b) in terms]
-        products = [c * f.value for c, f in cfs]
-        err = math.fsum(abs(c) * f.err for c, f in cfs) \
-            + 32.0 * _EPS * math.fsum(map(abs, products))
-        return EvalResult(math.fsum(products), err, sum(f.effort for f in results))
-
-    return _held(cfg.tol, [(w, lambda t, k=k: script_F(*k, N, t)) for k, w in weights.items()],
-                 combine)
+    return _script_F_sum([(1.0, a_r, j, b_r)], N, cfg.tol)
 
 
 def log_integral(a: int, b: int, N: int, cfg: EvalConfig = EvalConfig()) -> EvalResult:
@@ -156,16 +156,13 @@ def log_integral(a: int, b: int, N: int, cfg: EvalConfig = EvalConfig()) -> Eval
     Equals -(B(a/N, b/N)/N) * sum_{j=1}^{N} F(a, j, b); the y side is the
     same integral on the swapped label, log_integral(b, a, N).  Always
     negative: it integrates log of a quantity below 1 against a positive
-    weight.  ``err`` includes the rounding of the Beta prefactor (see
-    :func:`gamma_ratio`) and stays at or below cfg.tol (see :func:`_held`).
-    """
+    weight.  ``err`` includes the rounding of the Beta prefactor, the
+    factor of :func:`_script_F_sum`, and stays at or below cfg.tol."""
     a, b = _holomorphic(a, b, N)
     # the division by N and the product with the sum round once each
     B, rel = gamma_ratio((a / N, b / N), ((a + b) / N,))
-    rel += 2.0 * _EPS
-    terms = [(1.0, a, j, b) for j in range(1, N + 1)]
-    return _held(cfg.tol, [(B / N * (1.0 + rel), lambda t: _weighted_sum(terms, N, t))],
-                 lambda rs: _scaled(rs[0], -B / N, rel))
+    return _script_F_sum([(1.0, a, j, b) for j in range(1, N + 1)], N, cfg.tol,
+                         -B / N, rel + 2.0 * _EPS)
 
 
 def reg_holomorphic(a: int, b: int, N: int,
@@ -174,13 +171,27 @@ def reg_holomorphic(a: int, b: int, N: int,
 
     Closed form 2 * sum_{j=1}^{N} (F(b,j,a) - F(a,j,b)).  Antisymmetric under
     swapping a and b and zero on the diagonal, exactly, in floating point.
-    The certified err stays at or below cfg.tol.  ``effort`` is the work
-    of the distinct script-F terms evaluated: 2N of them, and N on the
-    diagonal, where the two sums name the same terms.
+    The certified err stays at or below cfg.tol (see :func:`_script_F_sum`).
+    ``effort`` is the work of the distinct 3F2 series evaluated: 2N of
+    them, and N on the diagonal, where the two sums name the same terms.
     """
     a_r, b_r = _holomorphic(a, b, N)
-    return _weighted_sum([t for j in range(1, N + 1)
-                          for t in ((2.0, b_r, j, a_r), (-2.0, a_r, j, b_r))], N, cfg)
+    return _script_F_sum([t for j in range(1, N + 1)
+                          for t in ((2.0, b_r, j, a_r), (-2.0, a_r, j, b_r))], N, cfg.tol)
+
+
+def _mixed_terms(a: int, b: int, c: int, d: int, N: int) -> list[tuple[float, int, int, int]]:
+    """The (c, a, j, b) script-F terms of :func:`im_reg_mixed`'s closed form."""
+    (a, b), (c, d) = _holomorphic(a, b, N), _holomorphic(c, d, N)
+    terms = []
+    if a == c or b == d:
+        m_ab = 2.0 * mu_half(a, b, N).imag
+        m_cd = 2.0 * mu_half(c, d, N).imag
+    if a == c:
+        terms += [(m_ab, d, bracket(b - d, N), c), (-m_cd, b, bracket(d - b, N), a)]
+    if b == d:
+        terms += [(m_cd, a, bracket(c - a, N), b), (-m_ab, c, bracket(a - c, N), d)]
+    return terms
 
 
 def im_reg_mixed(a: int, b: int, c: int, d: int, N: int,
@@ -202,17 +213,7 @@ def im_reg_mixed(a: int, b: int, c: int, d: int, N: int,
     holomorphic.  Exactly antisymmetric under swapping the pairs and
     exactly zero on the diagonal.
     """
-    a, b = _holomorphic(a, b, N)
-    c, d = _holomorphic(c, d, N)
-    terms = []
-    if a == c or b == d:
-        m_ab = 2.0 * mu_half(a, b, N).imag
-        m_cd = 2.0 * mu_half(c, d, N).imag
-    if a == c:
-        terms += [(m_ab, d, bracket(b - d, N), c), (-m_cd, b, bracket(d - b, N), a)]
-    if b == d:
-        terms += [(m_cd, a, bracket(c - a, N), b), (-m_ab, c, bracket(a - c, N), d)]
-    return _weighted_sum(terms, N, cfg)
+    return _script_F_sum(_mixed_terms(a, b, c, d, N), N, cfg.tol)
 
 
 def f_indec(i: int, N: int, cfg: EvalConfig = EvalConfig()) -> EvalResult:
@@ -221,14 +222,12 @@ def f_indec(i: int, N: int, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     f(i, N) = im_reg_mixed(1, i, 1, 2i, N) / (2 N^2).  A nonzero value
     certifies an indecomposable cycle when the wedge ((1, i), (1, 2i)) is
     not a Hodge class, which :func:`fermatreg.fermat.is_hodge` tests.  The
-    certified err stays at or below cfg.tol (see :func:`_held`).
-    """
+    certified err stays at or below cfg.tol (see :func:`_script_F_sum`)."""
     if not is_prime(N):
         raise DomainError(f"f(i, N) is defined for prime N, got {N}")
-    scale = 2.0 * N * N
-    return _held(cfg.tol, [(1.0 / scale, lambda t: im_reg_mixed(1, i, 1, 2 * i, N, t))],
-                 lambda rs: EvalResult(rs[0].value / scale, rs[0].err / scale + _EPS,
-                                       rs[0].effort))
+    # 1/(2 N^2) and the product with the sum round once each
+    return _script_F_sum(_mixed_terms(1, i, 1, 2 * i, N), N, cfg.tol,
+                         1.0 / (2.0 * N * N), 2.0 * _EPS)
 
 
 # --- oracles ----------------------------------------------------------------

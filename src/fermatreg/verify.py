@@ -217,7 +217,7 @@ def oracle_projector_integral(a: int, b: int, c: int, d: int, N: int,
         return _scaled(EvalResult(total, err, sum(q.effort for q in qs)), 1.0 / norm, rel)
 
     return _held(cfg.tol, [((1.0 + rel) / norm,
-                            lambda t, zr=zr: de_quadrature(_log_kernel(zr, a, b, N), t))
+                            lambda t, zr=zr: de_quadrature(_log_kernel(zr, a, b, N), t), "")
                            for zr in z], combine, f"projector oracle ({a}, {b}; {c}, {d}; {N}): ")
 
 

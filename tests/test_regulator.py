@@ -9,7 +9,7 @@ import math
 import pytest
 
 from fermatreg import regulator
-from fermatreg.fermat import FormIndex, WedgeIndex, bracket, is_hodge, period
+from fermatreg.fermat import FormIndex, WedgeIndex, bracket, is_hodge, mu_half, period
 from fermatreg.regulator import (
     f_indec,
     im_reg_mixed,
@@ -225,23 +225,23 @@ class TestImRegMixed:
 
 
 class TestDistinctTerms:
-    """A pairing evaluates each distinct script-F term once per call."""
+    """A pairing evaluates each distinct 3F2 series once per call."""
 
     @staticmethod
-    def counted_script_F(monkeypatch):
+    def counted_series(monkeypatch):
         calls = []
-        inner = regulator.script_F
+        inner = regulator.hyp3f2_unit
 
-        def wrapper(a, j, b, N, cfg):
-            calls.append((a, j, b, N))
-            return inner(a, j, b, N, cfg)
+        def wrapper(params, cfg):
+            calls.append(params)
+            return inner(params, cfg)
 
-        monkeypatch.setattr(regulator, "script_F", wrapper)
+        monkeypatch.setattr(regulator, "hyp3f2_unit", wrapper)
         return calls
 
     def test_holomorphic_diagonal(self, monkeypatch):
         # the two sums name the same N terms: value, err bits and half the work
-        calls = self.counted_script_F(monkeypatch)
+        calls = self.counted_series(monkeypatch)
         r = reg_holomorphic(2, 2, 7, CFG)
         assert len(calls) == 7 == len(set(calls))
         assert r.value == 0.0
@@ -249,14 +249,15 @@ class TestDistinctTerms:
         assert r.effort == 455
 
     def test_mixed_diagonal(self, monkeypatch):
-        calls = self.counted_script_F(monkeypatch)
+        calls = self.counted_series(monkeypatch)
         r = im_reg_mixed(1, 2, 1, 2, 13, CFG)
-        assert sorted(calls) == [(1, 13, 2, 13), (2, 13, 1, 13)]
+        assert sorted(calls) == [regulator._script_F_params(*t)
+                                 for t in ((1, 13, 2, 13), (2, 13, 1, 13))]
         assert r.value == 0.0
         assert r.err == 6.98487312699301e-12
 
     def test_off_diagonal_labels_keep_every_term(self, monkeypatch):
-        calls = self.counted_script_F(monkeypatch)
+        calls = self.counted_series(monkeypatch)
         r = reg_holomorphic(1, 2, 13, CFG)
         assert len(calls) == 26
         assert (r.value, r.err, r.effort) == (14.622432385257119, 1.9152300389896438e-12, 1690)
@@ -311,6 +312,40 @@ class TestFIndec:
                 assert f_indec(i, N, cfg).err <= cfg.tol, (i, N)
                 rows += 1
         assert rows == 228
+
+    def test_each_series_asks_for_its_share_of_tol(self, monkeypatch):
+        # one tolerance layer: each of the two 3F2 series is asked for
+        # tol / (2 sum w), w = |c| (Beta ratio / j) / (2 N^2) over the terms
+        # (c, a, j, b) = (2 Im mu_half(1, 2), 4, 11, 1), (-2 Im mu_half(1, 4), 2, 2, 1)
+        shares = []
+
+        def recorded(params, cfg):
+            shares.append((params, cfg.tol))
+            return hyp3f2_unit(params, cfg)
+
+        monkeypatch.setattr(regulator, "hyp3f2_unit", recorded)
+        N = 13
+        terms = [(2 * mu_half(1, 2, N).imag, 4, 11, 1), (-2 * mu_half(1, 4, N).imag, 2, 2, 1)]
+        w = [abs(c) * beta((a + j) / N, b / N) / (j * beta(a / N, b / N)) / (2 * N * N)
+             for c, a, j, b in terms]
+        series = [regulator._script_F_params(a, j, b, N) for _, a, j, b in terms]
+
+        def check_shares(tol):
+            assert [p for p, _ in shares] == series
+            for _, share in shares:
+                assert share == pytest.approx(tol / (2 * sum(w)), rel=1e-12, abs=0.0)
+            shares.clear()
+
+        f_indec(2, N, EvalConfig(1e-10))
+        check_shares(1e-10)
+        # at 1e-14 the first series fails, and the pairing names its term
+        with pytest.raises(BudgetExceededError) as ei:
+            f_indec(2, N, EvalConfig(1e-14))
+        share = EvalConfig(shares[0][1])
+        check_shares(1e-14)
+        with pytest.raises(BudgetExceededError) as inner:
+            hyp3f2_unit(series[0], share)
+        assert str(ei.value) == f"script-F term (4, 11, 1; 13): {inner.value}"
 
     def test_hodge_flag_positive_case(self):
         # at i = 4, N = 13 the wedge (1,4)^(1,8) satisfies 3i + 1 = N

@@ -25,8 +25,8 @@ def _counted(monkeypatch, module, name):
 def test_regulator_suite_computes_each_pairing_once(monkeypatch):
     # the normalization identity reuses the antisymmetry check's pairings,
     # and the regrouped-series check that identity's log integrals; each
-    # diagonal pairing evaluates its repeated terms once
-    calls = _counted(monkeypatch, regulator, "script_F")
+    # diagonal pairing evaluates its repeated 3F2 series once
+    calls = _counted(monkeypatch, regulator, "hyp3f2_unit")
     assert all(r.passed for r in verify._regulator_checks())
     assert calls[0] == 142
 
