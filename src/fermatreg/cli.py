@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import combinations_with_replacement
 
 from . import __version__, fermat, regulator
 from .specialfn import (
@@ -66,16 +67,14 @@ def _cmd_hyp3f2(args) -> int:
 def _cmd_reg(args) -> int:
     cfg = EvalConfig(args.tol)
     if args.kind == "holo":
-        rv = regulator.reg_holomorphic(args.N_a, args.N_b, args.N, cfg)
-        inputs = {"N": args.N, "a": args.N_a, "b": args.N_b}
+        rv = regulator.reg_holomorphic(args.a, args.b, args.N, cfg)
+        inputs = {"N": args.N, "a": args.a, "b": args.b}
         print(_record(inputs, rv.value, rv.err, _PAIRING_PROVENANCE, rv.effort))
         return 0
-    if args.N_c is None or args.N_d is None:
-        raise DomainError("reg mixed requires --c and --d")
-    rv = regulator.im_reg_mixed(args.N_a, args.N_b, args.N_c, args.N_d, args.N, cfg)
-    inputs = {"N": args.N, "a": args.N_a, "b": args.N_b, "c": args.N_c, "d": args.N_d}
-    w = fermat.WedgeIndex(fermat.FormIndex(args.N, args.N_a, args.N_b),
-                          fermat.FormIndex(args.N, args.N_c, args.N_d))
+    rv = regulator.im_reg_mixed(args.a, args.b, args.c, args.d, args.N, cfg)
+    inputs = {"N": args.N, "a": args.a, "b": args.b, "c": args.c, "d": args.d}
+    w = fermat.WedgeIndex(fermat.FormIndex(args.N, args.a, args.b),
+                          fermat.FormIndex(args.N, args.c, args.d))
     print(_record(inputs, rv.value, rv.err, _PAIRING_PROVENANCE, rv.effort,
                   hodge=fermat.is_hodge(w)))
     return 0
@@ -137,24 +136,25 @@ def _f_table_wedge(i: int, N: int) -> fermat.WedgeIndex:
 
 
 def _cmd_hodge(args) -> int:
-    N = args.N
+    N, given = args.N, [getattr(args, name) is not None for name in "abcd"]
     if args.list:
+        if any(given):
+            raise DomainError("hodge --list takes no --a, --b, --c or --d")
         if N < 3:
             raise DomainError("modulus must be at least 3")
         labels = [fermat.FormIndex(N, a, b) for a in range(1, N) for b in range(1, N - a)]
-        count = 0
-        for idx1, first in enumerate(labels):
-            for second in labels[idx1:]:
-                if fermat.is_hodge(fermat.WedgeIndex(first, second)):
-                    print(json.dumps({"inputs": {"N": N, "a": first.a, "b": first.b,
-                                                 "c": second.a, "d": second.b},
-                                      "hodge": True}))
-                    count += 1
-        print(f"listed {count} Hodge pairs for N={N}", file=sys.stderr)
+        prime, groups = fermat.is_prime(N), {}
+        for label in labels:
+            groups.setdefault(fermat._hodge_type(label, prime), []).append(label)
+        # labels sort as their (a, b) do, so the pairs come in label order
+        pairs = sorted(p for g in groups.values() for p in combinations_with_replacement(g, 2))
+        for first, second in pairs:
+            print(json.dumps({"inputs": {"N": N, "a": first.a, "b": first.b,
+                                         "c": second.a, "d": second.b}, "hodge": True}))
+        print(f"listed {len(pairs)} Hodge pairs for N={N}", file=sys.stderr)
         return 0
-    for name in ("a", "b", "c", "d"):
-        if getattr(args, name) is None:
-            raise DomainError("hodge needs --list or all of --a --b --c --d")
+    if not all(given):
+        raise DomainError("hodge needs --list or all of --a --b --c --d")
     w = fermat.WedgeIndex(fermat.FormIndex(N, args.a, args.b),
                           fermat.FormIndex(N, args.c, args.d))
     print(json.dumps({"inputs": {"N": N, "a": args.a, "b": args.b,
@@ -191,13 +191,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hyp3f2)
 
     p = sub.add_parser("reg", help="regulator pairing for given indices")
-    p.add_argument("kind", choices=("holo", "mixed"))
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--a", dest="N_a", type=int, required=True)
-    p.add_argument("--b", dest="N_b", type=int, required=True)
-    p.add_argument("--c", dest="N_c", type=int, default=None)
-    p.add_argument("--d", dest="N_d", type=int, default=None)
-    _add_cfg_flags(p)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind, names in (("holo", "ab"), ("mixed", "abcd")):
+        q = kinds.add_parser(kind)
+        q.add_argument("--N", type=int, required=True)
+        for name in names:
+            q.add_argument(f"--{name}", type=int, required=True)
+        _add_cfg_flags(q)
     p.set_defaults(func=_cmd_reg)
 
     p = sub.add_parser("f-table", help="indecomposability statistics f(i, N), "

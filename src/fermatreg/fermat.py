@@ -126,27 +126,26 @@ def mu_half(a: int, b: int, N: int) -> complex:
                    / math.sin(math.pi * s / (2 * N)))
 
 
+def _hodge_type(idx: FormIndex, prime: bool) -> tuple:
+    """The type of a holomorphic label that :func:`is_hodge` compares."""
+    N, a, b = idx
+    if prime:
+        return tuple(sorted((a, b, -(a + b) % N)))
+    return tuple(t * a % N + t * b % N < N
+                 for t in range(2, (N + 1) // 2) if math.gcd(t, N) == 1)
+
+
 def is_hodge(w: WedgeIndex) -> bool:
-    """Whether the wedge of the two eigenforms spans a Hodge class.
+    """Whether the wedge of the two eigenforms spans a Hodge class: whether
+    its labels (a, b) and (c, d) have the same type.
 
     The type criterion (Shioda, Math. Ann. 245, 1979; Koblitz-Rohrlich,
-    Canad. J. Math. 30, 1978): with (a, b) and (c, d) the two labels, for
-    every unit t mod N, t(a, b) is holomorphic exactly when t(c, d) is.
-    The units above N/2 add nothing: t -> N - t swaps holomorphic and
-    antiholomorphic.  For prime N this is the paper's test that the
-    multisets {a, b, N-a-b} and {c, d, N-c-d} agree; for composite N the
-    flag is this criterion, not a result of the paper.  A label (ga, gb)
-    mod gN gets the flag of (a, b) mod N, the curve it comes from.
+    Canad. J. Math. 30, 1978): t(a, b) is holomorphic exactly when t(c, d)
+    is, for every unit t mod N.  So the type of (a, b) is that flag at each
+    unit 2 <= t < N/2 (t = 1 passes every label; N - t flips t's flag), or
+    for prime N the sorted triple (a, b, N-a-b), the paper's multiset test
+    (Shioda, loc. cit.); for composite N the flag is not a result of the
+    paper.  A label (ga, gb) mod gN gets the flag of (a, b) mod N.
     """
-    N = w.N
-    a, b, c, d = w.first.a, w.first.b, w.second.a, w.second.b
-    if is_prime(N):
-        # the criterion makes a, b, -a-b, -c, -d, c+d a Hodge element; for
-        # prime N it splits into pairs summing to 0 mod N (Shioda, loc. cit.),
-        # none within one triple, so the multisets agree: no loop over units
-        return sorted((a, b, -(a + b) % N)) == sorted((c, d, -(c + d) % N))
-    for t in range(2, (N + 1) // 2):
-        if ((t * a % N + t * b % N < N) != (t * c % N + t * d % N < N)
-                and math.gcd(t, N) == 1):
-            return False
-    return True
+    prime = is_prime(w.N)
+    return _hodge_type(w.first, prime) == _hodge_type(w.second, prime)

@@ -255,6 +255,20 @@ class TestRegCommand:
         assert p.returncode == 1
         assert p.stderr.startswith(b"numerical failure: script-F term ")
 
+    @pytest.mark.parametrize("argv", [
+        ("holo", "--N", "5", "--a", "1", "--b", "2", "--c", "3", "--d", "1"),
+        ("holo", "--N", "5", "--a", "1", "--b", "2", "--c", "3"),
+        ("mixed", "--N", "13", "--a", "1", "--b", "2"),
+        ("--N", "5", "--a", "1", "--b", "2"),
+    ], ids=["holo --c --d", "holo --c", "mixed without --c --d", "no kind"])
+    def test_stray_or_missing_label_exits_2(self, argv):
+        # `reg holo` takes no --c or --d, rather than dropping them
+        p = run_cli("reg", *argv)
+        assert p.returncode == 2
+        assert p.stdout == b""
+        assert sum(b"error:" in line for line in p.stderr.splitlines()) == 1
+        assert b"Traceback" not in p.stderr
+
     def test_holo_large_modulus(self):
         p = run_cli("reg", "holo", "--N", "29", "--a", "1", "--b", "2")
         assert p.returncode == 0, p.stderr
@@ -400,6 +414,31 @@ class TestHodgeCommand:
         assert p.returncode == 2
         assert p.stdout == b""
         assert p.stderr == b"error: modulus must be at least 3\n"
+
+    @pytest.mark.parametrize("labels", [("--a", "1", "--b", "2"), ("--d", "4")],
+                             ids=["--a --b", "--d"])
+    def test_list_with_labels_exits_2(self, labels):
+        p = run_cli("hodge", "--N", "13", "--list", *labels)
+        assert p.returncode == 2
+        assert p.stdout == b""
+        assert p.stderr == b"error: hodge --list takes no --a, --b, --c or --d\n"
+
+    @pytest.mark.parametrize("N", [9, 12, 13, 16])
+    def test_list_is_the_unit_criterion(self, N):
+        # the pairs (first, second), first <= second in label order, that the
+        # criterion accepts over every unit t < N, in that order
+        units = [t for t in range(1, N) if math.gcd(t, N) == 1]
+        labels = [(a, b) for a in range(1, N) for b in range(1, N - a)]
+        flags = [[t * a % N + t * b % N < N for t in units] for (a, b) in labels]
+        want = [{"N": N, "a": a, "b": b, "c": c, "d": d}
+                for k, (a, b) in enumerate(labels) for j, (c, d) in enumerate(labels)
+                if j >= k and flags[j] == flags[k]]
+        p = run_cli("hodge", "--N", str(N), "--list")
+        assert p.returncode == 0
+        recs = records(p.stdout)
+        assert [r["inputs"] for r in recs] == want
+        assert all(r["hodge"] is True for r in recs)
+        assert p.stderr == f"listed {len(want)} Hodge pairs for N={N}\n".encode()
 
 
 VERIFY_PROPERTIES = [

@@ -344,6 +344,18 @@ class TestHodge:
                     w = WedgeIndex(i1, i2)
                     assert is_hodge(w) == unit_criterion(w), (i1, i2)
 
+    def test_composite_moduli_match_the_unit_criterion(self):
+        # is_hodge compares types built from the units below N/2; here every
+        # unordered pair of labels is held to the criterion over every unit
+        for N in (n for n in range(4, 31) if not is_prime(n)):
+            units = [t for t in range(1, N) if math.gcd(t, N) == 1]
+            labels = [FormIndex(N, a, b) for a in range(1, N) for b in range(1, N - a)]
+            flags = {x: [t * x.a % N + t * x.b % N < N for t in units] for x in labels}
+            for k, i1 in enumerate(labels):
+                for i2 in labels[k:]:
+                    w = WedgeIndex(i1, i2)
+                    assert is_hodge(w) == (flags[i1] == flags[i2]), (i1, i2)
+
     def test_one_i_family_characterization(self):
         # (1, i) pairs with (1, j) exactly when j = i or j = N - 1 - i
         for N in (13, 17, 19, 23):
